@@ -1,6 +1,6 @@
 """Per-learner tuning times: one tune_and_train call per learner.
 
-    python3 perfbench/baseline.py [--seed 0] [--learners ridge,lasso]
+    python3 perfbench/baseline.py
 
 Not a workload: it times the layer table of the ROADMAP baseline once,
 on the same fixture (t3, n=100, p=50, default 19 theta x 15 alpha x 5 fold
@@ -11,7 +11,6 @@ thread. The whole table takes about four minutes, most of it hinge.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -22,26 +21,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 LEARNERS = ("unit-weights", "logistic", "ridge", "lasso", "hinge", "multiclass-ridge")
+SEED = 0
 
 
-def main(argv=None) -> int:
+def main() -> int:
     import numpy as np
 
     from eqc import Dataset, ScenarioSpec, TuningGrid, generate, tune_and_train
 
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--learners", default=",".join(LEARNERS))
-    args = ap.parse_args(argv)
-
-    binary = generate(ScenarioSpec("t3", 100, 50, seed=args.seed), 2).train
-    rng = np.random.default_rng([args.seed, 3])
+    binary = generate(ScenarioSpec("t3", 100, 50, seed=SEED), 2).train
+    rng = np.random.default_rng([SEED, 3])
     y3 = np.repeat([1, 2, 3], 50)
     X3 = rng.standard_t(3, (150, 50)) / np.sqrt(3.0) + (y3[:, None] - 1) * 0.32 / np.sqrt(3.0)
     three = Dataset(X3, y3)
-    grid = TuningGrid(seed=args.seed)
+    grid = TuningGrid(seed=SEED)
     print(f"{'learner':<18} {'seconds':>9}  chosen (theta, alpha)")
-    for learner in args.learners.split(","):
+    for learner in LEARNERS:
         data = three if learner == "multiclass-ridge" else binary
         t0 = time.perf_counter()
         _, cv = tune_and_train(data, grid, learner)

@@ -125,13 +125,15 @@ def check_error_range(rows: list[dict], tested_per_task: int, bayes: float,
     return problems
 
 
-def fisher_pvalues(present1, present2, n1: int, n2: int) -> np.ndarray:
+def fisher_pvalues(present1, present2, n1: int, n2: int,
+                   cache: dict | None = None) -> np.ndarray:
     """Two-sided scipy.stats.fisher_exact p-value of every term's table
-    [[present in class 1, absent in class 1], [present in class 2, absent]]."""
-    cache: dict[tuple[int, int], float] = {}
+    [[present in class 1, absent in class 1], [present in class 2, absent]].
+    A table's p-value is kept in cache, which calls may share."""
+    cache = {} if cache is None else cache
     out = np.empty(len(present1))
     for j, (a, c) in enumerate(zip(present1, present2)):
-        key = (a, c)
+        key = (a, c, n1, n2)
         if key not in cache:
             cache[key] = stats.fisher_exact([[a, n1 - a], [c, n2 - c]]).pvalue
         out[j] = cache[key]
@@ -144,6 +146,7 @@ def check_fisher(records: list[dict], n_docs: int, kept_terms: int,
     L-th value may go either way), made on a training part only, after
     the low-frequency filter."""
     problems = []
+    cache: dict = {}
     if len(records) != replications * outer_folds:
         return [f"{len(records)} selections recorded, expected "
                 f"{replications * outer_folds}"]
@@ -159,7 +162,7 @@ def check_fisher(records: list[dict], n_docs: int, kept_terms: int,
                 or sel.max() >= rec["n_terms"]:
             problems.append(f"{where}: selected {sel.size} distinct valid terms, need {L}")
             continue
-        p = fisher_pvalues(rec["present1"], rec["present2"], rec["n1"], rec["n2"])
+        p = fisher_pvalues(rec["present1"], rec["present2"], rec["n1"], rec["n2"], cache)
         cut = np.sort(p)[L - 1]
         chosen = np.zeros(p.size, dtype=bool)
         chosen[sel] = True

@@ -1,6 +1,6 @@
 """Benchmark for eqc: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload t3-newton --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload t3-newton --seed 1 --seconds 12 --trace 0
 
 Run from the repository root (any directory works; paths are taken from
 this file). A run:
@@ -36,8 +36,11 @@ WORKER = HERE / "worker.py"
 OUT_ROOT = ROOT / ".perfbench_out"
 
 WARMUPS = 1
-SETUP_SAMPLES = 4  # plus the measuring process's own set-up
-CHILD_TIMEOUT_S = 170
+SETUP_SAMPLES = 8  # plus the measuring process's own set-up
+SETUP_TIMEOUT_S = 120
+# the measuring process runs for --seconds, then finishes its round (a
+# traced pair of rounds takes up to about a minute) and reports
+MEASURE_MARGIN_S = 170
 BAYES_SAMPLES = 100_000
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -66,10 +69,11 @@ def _spawn(mode: str, args, out: Path) -> dict:
     cmd = [sys.executable, str(WORKER), "--mode", mode, "--workload", args.workload,
            "--size", args.size, "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace), "--out", str(out)]
+    timeout = SETUP_TIMEOUT_S if mode == "setup" else args.seconds + MEASURE_MARGIN_S
     spawn_time = time.monotonic()
     proc = subprocess.run(cmd + ["--spawn-time", repr(spawn_time)], env=env, cwd=ROOT,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          timeout=CHILD_TIMEOUT_S)
+                          timeout=timeout)
     if proc.returncode != 0:
         raise RunError(f"{mode} process exited with {proc.returncode}:\n{proc.stderr[-3000:]}")
     return json.loads((out / "report.json").read_text())
@@ -78,7 +82,6 @@ def _spawn(mode: str, args, out: Path) -> dict:
 def run(args) -> dict:
     if not (ROOT / "src" / "eqc" / "__init__.py").is_file():
         raise RunError(f"no eqc sources under {ROOT / 'src'}")
-    workload = workloads.WORKLOADS[args.workload]
     run_dir = OUT_ROOT / f"{args.workload}-{args.size}-seed{args.seed}-trace{args.trace}"
     shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -95,13 +98,12 @@ def run(args) -> dict:
     rounds = measured["rounds"] + measured["traced_rounds"]
     attempted = sum(r["attempted"] for r in rounds)
     failed = sum(r["failed"] for r in rounds)
-    rows = checks.parse_long(measured["long_csv"])
-    problems = _check(workload, args, measured, rows, run_dir)
+    problems = check(args.workload, args.size, args.seed, measured, BAYES_SAMPLES)
 
     if args.trace:
         metrics = _layer_metrics(measured, setups)
     else:
-        metrics = _end_to_end(measured, setups, rows)
+        metrics = _end_to_end(measured, setups, checks.parse_long(measured["long_csv"]))
     info = {
         "rounds": len(measured["rounds"]),
         "traced_rounds": len(measured["traced_rounds"]),
@@ -118,29 +120,32 @@ def run(args) -> dict:
                        "failed": failed, "metrics": metrics}}
 
 
-def _check(workload, args, measured, rows, run_dir: Path) -> list[str]:
-    """Problems with the run's outputs; failed tasks are counted, not problems."""
+def check(name: str, size: str, seed: int, measured: dict, bayes_samples: int) -> list[str]:
+    """Problems with the outputs in a measuring process's report; failed
+    tasks are counted, not problems. The Bayes error is estimated from
+    bayes_samples Monte Carlo draws."""
+    workload = workloads.WORKLOADS[name]
+    rows = checks.parse_long(measured["long_csv"])
     problems = []
     if not measured["rounds_identical"]:
         problems.append("rounds wrote different outputs")
     threads = set(measured["blas_threads"].values())
     if threads - {1}:
         problems.append(f"BLAS thread counts {measured['blas_threads']}, expected 1")
-    keys = workload.settings[args.size]
+    keys = workload.settings[size]
     summary = checks.parse_summary(measured["summary_csv"])
     failed_first = measured["rounds"][0]["failed"]
     scenario = keys["mode"] == "scenario"
-    problems += checks.check_rows(rows, workload.expected_tasks(args.size), failed_first,
+    problems += checks.check_rows(rows, workload.expected_tasks(size), failed_first,
                                   keys["test_size"] if scenario else None)
     problems += checks.check_summary(summary, rows)
-    bayes, bayes_se = workloads.bayes_error(workload, args.size, BAYES_SAMPLES, args.seed)
+    bayes, bayes_se = workloads.bayes_error(workload, size, bayes_samples, seed)
     tested = keys["test_size"] if scenario else keys["docs"] // keys["outer_folds"]
     problems += checks.check_error_range(rows, tested, bayes, bayes_se)
     if not scenario:
-        kept = workloads.terms_kept(args.seed, keys)
+        kept = workloads.terms_kept(seed, keys)
         problems += checks.check_fisher(measured["fisher"], keys["docs"], kept,
                                         keys["replications"], keys["outer_folds"])
-    (run_dir / "bayes.json").write_text(json.dumps({"bayes_error": bayes, "mc_se": bayes_se}))
     return problems
 
 
