@@ -46,6 +46,7 @@ from .multiclass import (
     fit_multiclass_eqc,
     loglik_gradient,
     loglik_hessian,
+    multiclass_probabilities,
     predict_multiclass,
     regularized_loglik,
 )

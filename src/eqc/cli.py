@@ -19,7 +19,7 @@ from .data import Dataset
 from .errors import EqcError
 from .ingest import load_dense_csv, save_dense_csv
 from .modelio import load_model, save_model
-from .multiclass import class_probabilities, predict_multiclass
+from .multiclass import multiclass_probabilities, predict_multiclass
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import (
     DEFAULT_ALPHA_GRID,
@@ -132,7 +132,7 @@ def _cmd_predict(args) -> int:
         header = "index,prediction,score"
         cols = zip(np.atleast_1d(preds), scores)
     else:
-        probs = class_probabilities(data.X, model.table, model.coef)
+        probs = multiclass_probabilities(data.X, model)
         preds = predict_multiclass(data.X, model)
         header = "index,prediction,max_probability"
         cols = zip(preds, probs.max(axis=1))

@@ -329,9 +329,22 @@ def fit_multiclass_eqc(
     return FittedMulticlassEqc(theta, table, coef, lam, scaler, report)
 
 
+def multiclass_probabilities(x, model: FittedMulticlassEqc):
+    """Class probabilities of a fitted model, its scaling applied first.
+
+    The model's table and coefficients live on the scaled inputs, so this
+    is the one entry that turns raw inputs into the probabilities the model
+    was tuned and scored on.
+    """
+    x = np.asarray(x, dtype=float)
+    if model.scaling is not None:
+        x = model.scaling.apply(x)
+    return class_probabilities(x, model.table, model.coef)
+
+
 def predict_multiclass(x, model: FittedMulticlassEqc):
     """argmax-probability label(s); ties go to the smallest class id."""
-    probs = class_probabilities(x, model.table, model.coef)
+    probs = multiclass_probabilities(x, model)
     idx = np.argmax(np.atleast_2d(probs), axis=1)
     out = model.class_ids[idx]
     return int(out[0]) if np.asarray(x).ndim == 1 else out

@@ -206,9 +206,15 @@ def generate(spec: ScenarioSpec, n_test: int) -> GeneratedData:
 def random_correlation_matrix(p: int, beta_shape: float, seed) -> np.ndarray:
     """Random positive-definite correlation matrix via the C-vine method.
 
-    Partial correlations are i.i.d. 2*Beta(beta_shape, beta_shape) - 1
-    and converted to plain correlations by the vine recursion; the result
-    is symmetric with unit diagonal and strictly positive eigenvalues.
+    The level-k partial correlations (k = 0 .. p-2, given the first k
+    variables) are independent 2*Beta(b_k, b_k) - 1 with
+    b_k = beta_shape + (p - 2 - k)/2, and the vine recursion turns them
+    into plain correlations. This is the LKJ law with eta = beta_shape
+    (Lewandowski, Kurowicka & Joe 2009): the density is proportional to
+    det(C)^(eta - 1) and every off-diagonal entry is 2*Beta(a, a) - 1 with
+    a = beta_shape + (p - 2)/2. Equal shapes at every level would pile
+    mass near singular matrices as p grows. The result is symmetric with
+    unit diagonal and strictly positive eigenvalues.
     """
     if p < 2:
         raise DomainError("need p >= 2")
@@ -218,8 +224,9 @@ def random_correlation_matrix(p: int, beta_shape: float, seed) -> np.ndarray:
     partial = np.zeros((p, p))
     S = np.eye(p)
     for k in range(p - 1):
+        shape = beta_shape + 0.5 * (p - 2 - k)
         for i in range(k + 1, p):
-            partial[k, i] = 2.0 * rng.beta(beta_shape, beta_shape) - 1.0
+            partial[k, i] = 2.0 * rng.beta(shape, shape) - 1.0
             rho = partial[k, i]
             for ell in range(k - 1, -1, -1):
                 rho = (

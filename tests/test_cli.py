@@ -74,6 +74,32 @@ class TestFitPredict:
         assert out.read_text().splitlines()[0] == "index,prediction,max_probability"
 
 
+    def test_multiclass_predict_applies_scaling(self, tmp_path):
+        from eqc import Dataset, QuantileParams, fit_multiclass_eqc, save_dense_csv
+        from eqc.multiclass import class_probabilities
+
+        rng = np.random.Generator(np.random.PCG64(0))
+        y = np.repeat([1, 2, 3], 50)
+        X = (rng.standard_normal((150, 4)) + 0.8 * (y[:, None] - 1)) * [1.0, 10.0, 50.0, 100.0]
+        train = tmp_path / "s.csv"
+        save_dense_csv(Dataset(X, y), train)
+        model = tmp_path / "model.txt"
+        assert cli_entry([
+            "fit", "--data", str(train), "--classifier", "eqc-multiclass",
+            "--theta-grid", "0.5", "--alpha-grid", "0.01", "--folds", "2",
+            "--scaling", "sd", "--out", str(model),
+        ]) == 0
+        out = tmp_path / "p.csv"
+        assert cli_entry(["predict", "--model", str(model), "--data", str(train),
+                          "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        fitted = fit_multiclass_eqc(Dataset(X, y), QuantileParams.common(0.5, 4), 0.01,
+                                    scaling="sd")
+        probs = class_probabilities(fitted.scaling.apply(X), fitted.table, fitted.coef)
+        assert np.array_equal(rows[:, 1], fitted.class_ids[np.argmax(probs, axis=1)])
+        assert np.allclose(rows[:, 2], probs.max(axis=1), rtol=1e-12)
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):
         code = cli_entry(["simulate", "--nope", "x"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from eqc import (
     fit_penalized_logistic,
     hinge_loss,
 )
-from eqc.metalearners import binomial_gradient
+from eqc.metalearners import _fit_logistic_newton, binomial_gradient
 
 
 def _rng(seed=0):
@@ -171,6 +172,23 @@ class TestRidgeNewton:
         assert report.iterations == 1
 
 
+class TestSigmoidOverflow:
+    def test_separable_fits_raise_no_runtime_warning(self):
+        # margins reach thousands, where exp(-c) overflows a double
+        Z = np.array([[-100.0], [-1.0], [1.0], [100.0]])
+        y = np.array([1, 1, 2, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, SolverConfig())
+            ridge, _ = fit_penalized_logistic(Z, y, PenaltySpec("ridge", 1e-12))
+            g = binomial_gradient(
+                Coefficients(0.0, np.array([1000.0])), PenaltySpec("ridge", 1.0), Z, y
+            )
+        assert report.converged
+        assert plain.weights[0] > 0 and ridge.weights[0] > 0
+        assert np.all(np.isfinite(g))
+
+
 class TestLassoProx:
     def test_above_critical_threshold_weights_zero(self):
         rng = _rng(31)
@@ -287,7 +305,7 @@ class TestSvmSolver:
         y = np.where(Z[:, 0] + 0.3 * rng.standard_normal(10) > 0, 2, 1)
         y[:2] = [1, 2]
         cost = 2.0
-        coef, report = fit_linear_svm(Z, y, cost, SolverConfig(hinge_iters=20000))
+        coef, report = fit_linear_svm(Z, y, cost)
         ours = hinge_loss(coef, cost, Z, y)
         grid = np.linspace(-3, 3, 301)
         best = np.inf
@@ -296,6 +314,58 @@ class TestSvmSolver:
                 cand = Coefficients(b0, np.array([b1]))
                 best = min(best, hinge_loss(cand, cost, Z, y))
         assert ours <= best + 1e-3
+
+    def test_not_above_slsqp_referee(self):
+        # independent referee: SLSQP on the primal QP with slacks over
+        # (b, w, xi): min 1/2 |w|^2 + cost * sum(xi)
+        # subject to s_i (b + w . z_i) >= 1 - xi_i and xi >= 0
+        from scipy.optimize import minimize
+
+        rng = _rng(71)
+        n, p = 20, 3
+        Z = rng.standard_normal((n, p))
+        y = np.where(Z[:, 0] + 0.5 * rng.standard_normal(n) > 0, 2, 1)
+        y[:2] = [1, 2]
+        s = 2.0 * (y - 1.0) - 1.0
+        A = np.hstack([s[:, None], s[:, None] * Z, np.eye(n)])
+        bounds = [(None, None)] * (p + 1) + [(0.0, None)] * n
+        x0 = np.concatenate([np.zeros(p + 1), np.ones(n)])
+        for cost in (0.05, 1.0, 20.0):
+            weight = np.concatenate([np.zeros(p + 1), np.full(n, cost)])
+            res = minimize(
+                lambda x: 0.5 * x[1 : p + 1] @ x[1 : p + 1] + weight @ x,
+                x0,
+                jac=lambda x: np.concatenate([[0.0], x[1 : p + 1], np.zeros(n)]) + weight,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=[{"type": "ineq", "fun": lambda x: A @ x - 1.0,
+                              "jac": lambda x: A}],
+                options={"ftol": 1e-12, "maxiter": 1000},
+            )
+            assert res.success
+            referee = hinge_loss(Coefficients(res.x[0], res.x[1 : p + 1]), cost, Z, y)
+            coef, report = fit_linear_svm(Z, y, cost)
+            ours = hinge_loss(coef, cost, Z, y)
+            assert ours <= referee + 1e-9
+            assert report.converged
+            assert report.final_loss == ours
+            # grad_norm_at_exit is the duality gap in hinge_loss units
+            assert -1e-12 <= report.grad_norm_at_exit <= 1e-8
+
+    def test_budget_exhausted_reports_not_converged(self):
+        rng = _rng(73)
+        Z = rng.standard_normal((20, 2))
+        y = np.where(Z[:, 0] + rng.standard_normal(20) > 0, 2, 1)
+        y[:2] = [1, 2]
+        # max_iter * n = 20 pair updates cannot reach the 1e-8 KKT tolerance
+        coef, report = fit_linear_svm(Z, y, 50.0, SolverConfig(max_iter=1))
+        assert not report.converged
+        assert report.iterations == 20
+        assert report.final_loss == hinge_loss(coef, 50.0, Z, y)
+        assert report.grad_norm_at_exit > 1e-8
+        _, full = fit_linear_svm(Z, y, 50.0)
+        assert full.converged
+        assert full.final_loss < report.final_loss
 
     def test_deterministic(self):
         rng = _rng(61)

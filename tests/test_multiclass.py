@@ -16,6 +16,7 @@ from eqc import (
     fit_multiclass_eqc,
     loglik_gradient,
     loglik_hessian,
+    multiclass_probabilities,
     predict_binary,
     predict_multiclass,
     regularized_loglik,
@@ -327,6 +328,36 @@ class TestPredict:
         assert back.lam == model.lam
         pts = _rng(23).standard_normal((40, 3))
         assert np.array_equal(predict_multiclass(pts, back), predict_multiclass(pts, model))
+
+
+def _scaled_toy():
+    """Three classes of 50, four columns on scales 1 to 100."""
+    rng = _rng(0)
+    y = np.repeat([1, 2, 3], 50)
+    scales = np.array([1.0, 10.0, 50.0, 100.0])
+    X = (rng.standard_normal((150, 4)) + 0.8 * (y[:, None] - 1)) * scales
+    return Dataset(X, y)
+
+
+def _cv_predictions(data, model):
+    """Labels as CV scores them: scaled design, shared weights, intercepts."""
+    design = build_design(data, model.table, model.scaling)
+    logits = design.blocks @ model.coef.weights
+    logits[:, : model.coef.intercepts.size] -= model.coef.intercepts
+    return model.class_ids[np.argmax(logits, axis=1)]
+
+
+class TestScaling:
+    def test_predict_applies_model_scaling(self):
+        data = _scaled_toy()
+        model = fit_multiclass_eqc(data, QuantileParams.common(0.5, 4), 0.01, scaling="sd")
+        expected = _cv_predictions(data, model)
+        assert np.array_equal(predict_multiclass(data.X, model), expected)
+        assert predict_multiclass(data.X[0], model) == expected[0]
+        assert np.mean(expected != data.y) == pytest.approx(0.32)
+        probs = multiclass_probabilities(data.X, model)
+        scaled = class_probabilities(model.scaling.apply(data.X), model.table, model.coef)
+        assert np.array_equal(probs, scaled)
 
 
 class TestDesign:

@@ -152,6 +152,22 @@ class TestCorrelationMatrix:
         assert vals.var() == pytest.approx(0.5, abs=0.02)
         assert vals.min() > -1 and vals.max() < 1
 
+    def test_every_entry_follows_the_lkj_marginal(self):
+        # under LKJ(eta) each off-diagonal entry of a p x p matrix is
+        # 2*Beta(a, a) - 1 with a = eta + (p - 2)/2: mean 0, variance
+        # 1/(2 eta + p - 1) = 0.2 here, whatever its place in the vine
+        draws = np.array([random_correlation_matrix(5, 0.5, seed=s) for s in range(4000)])
+        iu = np.triu_indices(5, 1)
+        off = draws[:, iu[0], iu[1]]
+        assert np.allclose(off.mean(axis=0), 0.0, atol=0.03)
+        assert np.allclose(off.var(axis=0), 0.2, atol=0.02)
+
+    def test_dependent_scenario_is_positive_definite_at_p50(self):
+        # generate draws its correlation matrix with seed (seed, 0xC0)
+        for seed in range(20):
+            data = generate(ScenarioSpec("t3", 20, 50, seed=seed, dependent=True), 2)
+            assert np.all(np.isfinite(data.train.X))
+
     def test_needs_two_dims(self):
         with pytest.raises(DomainError):
             random_correlation_matrix(1, 0.5, seed=0)
