@@ -10,14 +10,12 @@ Two protocols:
   and any feature selection done inside each training fold.
 
 All randomness derives from the master seed by replication index, so a
-run is reproducible and thread-count independent; replications may run
-on a bounded worker pool and results are merged in replication order.
+run is reproducible; replications run one after another, in order.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +50,7 @@ _RECIPES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one `bench` run needs; see README for the file keys."""
+    """Everything one `bench` run needs; config_from_file lists the file keys."""
 
     classifiers: tuple[str, ...]
     replications: int
@@ -68,7 +66,6 @@ class ExperimentConfig:
     min_docs: int = 0
     scaling: str | None = None
     seed: int = 0
-    threads: int = 1
     out_dir: str = "."
 
     def __post_init__(self):
@@ -250,21 +247,12 @@ def run_experiment(config: ExperimentConfig,
     least 20% of (classifier x replication) tasks fail.
     """
     data = None if config.scenario is not None else _load_dataset(config)
-
-    def one(rep: int):
-        if config.scenario is not None:
-            return _scenario_replication(config, rep, solver)
-        return _dataset_replication(config, data, rep, solver)
-
-    reps = range(config.replications)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, reps))
-    else:
-        results = [one(r) for r in reps]
-
     rows, sens_rows, failures = [], [], []
-    for r_rows, r_sens, r_fails in results:
+    for rep in range(config.replications):
+        if config.scenario is not None:
+            r_rows, r_sens, r_fails = _scenario_replication(config, rep, solver)
+        else:
+            r_rows, r_sens, r_fails = _dataset_replication(config, data, rep, solver)
         rows.extend(r_rows)
         sens_rows.extend(r_sens)
         failures.extend(r_fails)
@@ -343,7 +331,20 @@ def _parse_grid_token(token: str) -> tuple:
 
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse the flat key=value experiment file (keys documented in README)."""
+    """Parse the flat 'key = value' experiment file; '#' starts a comment.
+
+    Keys, defaults in brackets: mode = scenario | dense | dtm [scenario];
+    classifiers, a comma list of CLASSIFIERS [qc]; replications [1]; seed
+    [0]; out, the output directory [.]; scaling = none | sd | mad [none];
+    theta_grid [range:0.05:0.95:19] and alpha_grid [logrange:1e-4:1e2:15],
+    each a comma list, range:lo:hi:n or logrange:lo:hi:n; folds [5];
+    stratified [1]. Scenario mode: family [t3], n_train [100], p [50],
+    noise_fraction [0], delta [family default], dependent [0], test_size
+    [5000]. Dense mode: dataset, a CSV path. Dtm mode: dtm and labels, the
+    triple and label files; min_docs [0]. Both data modes: outer_folds
+    [10], feature_selection = none | fisher [none], fisher_l [50]. Unknown
+    keys are ignored. overrides, when given, replace file values.
+    """
     raw: dict[str, str] = {}
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -417,6 +418,5 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         min_docs=int(get("min_docs", 0)),
         scaling=None if scaling in ("none", "") else scaling,
         seed=int(get("seed", 0)),
-        threads=int(get("threads", 1)),
         out_dir=get("out", "."),
     )

@@ -16,19 +16,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import (
-    Coefficients,
-    PenaltySpec,
-    SolverConfig,
-    SolverReport,
-    fit_linear_svm,
-    fit_penalized_logistic,
-    _fit_logistic_newton,
-)
+from .metalearners import Coefficients, PenaltySpec, SolverConfig, SolverReport, fit_path
 from .quantiles import (
     QuantileParams,
     QuantileTable,
-    degenerate_columns,
     estimate_quantile_table,
     quantile_difference_transform,
 )
@@ -139,11 +130,22 @@ def eqc_discriminant(x, model: FittedEqc):
     return model.coef.intercept + z @ model.coef.weights
 
 
+def labels_from_scores(scores, class_ids) -> np.ndarray:
+    """Labels from model scores: the one rule that CV and predict share.
+
+    Binary discriminants (a vector): s <= 0, the tie included, goes to the
+    first class. Class probabilities (one row per observation): the
+    largest wins, ties going to the smallest class id.
+    """
+    s = np.asarray(scores)
+    if s.ndim == 2:
+        return class_ids[np.argmax(s, axis=1)]
+    return np.where(s <= 0, class_ids[0], class_ids[1])
+
+
 def predict_binary(x, model: FittedEqc):
     """Class label(s); the tie s = 0 goes to the first class."""
-    s = np.asarray(eqc_discriminant(x, model))
-    k1, k2 = model.table.class_ids
-    out = np.where(s <= 0, k1, k2)
+    out = labels_from_scores(eqc_discriminant(x, model), model.class_ids)
     return int(out) if out.ndim == 0 else out
 
 
@@ -167,51 +169,27 @@ def fit_binary_eqc(
 
     learner is a PenaltySpec (ridge / lasso / hinge) or one of the strings
     'logistic' (unregularized logistic regression) and 'unit-weights'
-    (pure QC: intercept 0, weights 1, no solver). Transformed columns that
-    are constant on the training data are dropped before solving and get
-    weight exactly 0; with the intercept unpenalized this is the exact
-    optimum, not an approximation. EMC is this with theta fixed at 0.5 and
-    a ridge penalty.
+    (pure QC: intercept 0, weights 1, no solver). The fit is fit_path's,
+    so constant transformed columns get weight exactly 0. EMC is this with
+    theta fixed at 0.5 and a ridge penalty.
     """
     ids = train.class_ids
     if ids.size != 2:
         raise FitError(f"binary fit requires exactly 2 classes, got {ids.size}")
-    table = None
-    scaler = None
-    if scaling is not None:
-        scaler = compute_scaling(train.X, scaling)
-        scaled = Dataset(scaler.apply(train.X), train.y)
-        table = estimate_quantile_table(scaled, theta)
-    else:
-        table = estimate_quantile_table(train, theta)
+    penalized = isinstance(learner, PenaltySpec)
+    kind, alpha = (learner.kind, learner.value) if penalized else (learner, np.nan)
+    scaler = compute_scaling(train.X, scaling) if scaling is not None else None
+    fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
+    table = estimate_quantile_table(fit_data, theta)
 
-    if isinstance(learner, str) and learner == "unit-weights":
-        coef = Coefficients(0.0, np.ones(train.p))
-        return FittedEqc(theta, table, coef, "unit-weights", scaler, None)
-
-    Z = transform_dataset(train, table, scaler)
     y12 = np.where(train.y == ids[0], 1, 2)
-    if np.min(np.bincount(y12)[1:]) < 2:
-        raise FitError("each class needs at least 2 observations")
-
-    drop = degenerate_columns(Z)
-    Zs = Z[:, ~drop]
-
-    if isinstance(learner, PenaltySpec):
-        if learner.kind in ("ridge", "lasso"):
-            coef_s, report = fit_penalized_logistic(Zs, y12, learner, config)
-        else:
-            coef_s, report = fit_linear_svm(Zs, y12, learner.value, config)
-        kind = learner.kind
-    elif learner == "logistic":
-        coef_s, report = _fit_logistic_newton(Zs, (y12 - 1).astype(float), 0.0, config)
-        kind = "logistic"
+    if kind == "unit-weights":
+        Z = np.empty((0, train.p))  # QC's weights are fixed: only p is read
     else:
-        raise DomainError(f"unknown learner {learner!r}")
-
-    weights = np.zeros(train.p)
-    weights[~drop] = coef_s.weights
-    coef = Coefficients(coef_s.intercept, weights)
+        if np.min(np.bincount(y12)[1:]) < 2:
+            raise FitError("each class needs at least 2 observations")
+        Z = transform_dataset(train, table, scaler)
+    [(coef, report)] = fit_path(Z, y12, kind, [alpha], config)
     return FittedEqc(theta, table, coef, kind, scaler, report)
 
 

@@ -14,12 +14,12 @@ import sys
 import numpy as np
 
 from .bench import CLASSIFIERS, _RECIPES, config_from_file, run_experiment
-from .binary import FittedEqc, eqc_discriminant, predict_binary
+from .binary import FittedEqc, eqc_discriminant, labels_from_scores
 from .data import Dataset
 from .errors import EqcError
 from .ingest import load_dense_csv, save_dense_csv
 from .modelio import load_model, save_model
-from .multiclass import multiclass_probabilities, predict_multiclass
+from .multiclass import multiclass_probabilities
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import (
     DEFAULT_ALPHA_GRID,
@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", required=True)
     ben.add_argument("--out", default=None, help="override the output directory")
     ben.add_argument("--seed", type=int, default=None, help="override the seed")
-    ben.add_argument("--threads", type=int, default=None)
 
     sub.add_parser("selftest", help="run the fast invariant battery")
     return top
@@ -127,15 +126,13 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     data = load_dense_csv(args.data)
     if isinstance(model, FittedEqc):
-        scores = np.atleast_1d(eqc_discriminant(data.X, model))
-        preds = predict_binary(data.X, model)
         header = "index,prediction,score"
-        cols = zip(np.atleast_1d(preds), scores)
+        scores = shown = eqc_discriminant(data.X, model)
     else:
-        probs = multiclass_probabilities(data.X, model)
-        preds = predict_multiclass(data.X, model)
         header = "index,prediction,max_probability"
-        cols = zip(preds, probs.max(axis=1))
+        scores = multiclass_probabilities(data.X, model)
+        shown = scores.max(axis=1)
+    cols = zip(labels_from_scores(scores, model.class_ids), shown)
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         for i, (pred, score) in enumerate(cols):
@@ -145,14 +142,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    config = config_from_file(args.config, overrides)
+    config = config_from_file(args.config, {"out": args.out, "seed": args.seed})
     report = run_experiment(config)
     for row in report.summary:
         print(f"{row['classifier']:>16}  {row['formatted']}  ({row['runs']} runs)")

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError, FitError
+from .quantiles import degenerate_columns
 
 VALID_PENALTIES = ("ridge", "lasso", "hinge")
 
@@ -129,20 +130,6 @@ def binomial_loss(coef: Coefficients, penalty: PenaltySpec, Z, y) -> float:
     w = coef.weights
     pen = np.sum(w * w) if penalty.kind == "ridge" else np.sum(np.abs(w))
     return base + 0.5 * penalty.value * pen
-
-
-def binomial_gradient(coef: Coefficients, penalty: PenaltySpec, Z, y) -> np.ndarray:
-    """Gradient of the smooth (ridge) objective over (intercept, weights)."""
-    if penalty.kind != "ridge":
-        raise DomainError("analytic gradient is defined for the smooth ridge loss")
-    Z, y = _check_design(Z, y)
-    y01 = (y - 1).astype(float)
-    c = coef.decision_values(Z)
-    r = expit(c) - y01
-    g = np.empty(Z.shape[1] + 1)
-    g[0] = r.mean()
-    g[1:] = Z.T @ r / Z.shape[0] + penalty.value * coef.weights
-    return g
 
 
 def _require_both_labels(y):
@@ -439,3 +426,49 @@ def fit_linear_svm(
     dual = (float(np.sum(alpha)) - 0.5 * float(w @ w)) / (n * C)
     return coef, SolverReport(primal, updates, converged, primal - dual)
 
+
+
+def fit_path(
+    Z, y, learner: str, alphas, config: SolverConfig = SolverConfig()
+) -> list[tuple[Coefficients, SolverReport | None]]:
+    """Fit one learner at every alpha of a grid; the one fit for CV and refit.
+
+    learner is 'ridge' or 'lasso' (alpha is the penalty lambda), 'hinge'
+    (alpha is the cost), 'logistic' (unregularized; alpha is ignored) or
+    'unit-weights' (QC: intercept 0 and unit weights, no solve and no
+    report; only the width of Z is read). Columns of Z that are constant
+    are dropped before solving and get weight exactly 0; with the
+    intercept unpenalized this is the exact optimum, not an approximation.
+    Ridge and lasso run from the largest lambda down, each solve
+    warm-started from the one before; the other solves start cold.
+    Returns one (Coefficients, SolverReport) per alpha, in grid order.
+    """
+    if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
+        raise DomainError(f"unknown learner {learner!r}")
+    p = np.shape(Z)[1]
+    alphas = np.asarray(alphas, dtype=float)
+    if learner == "unit-weights":
+        return [(Coefficients(0.0, np.ones(p)), None)] * alphas.size
+    if learner != "logistic" and not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise DomainError("every alpha must be positive and finite")
+    Z, y = _check_design(Z, y)
+    _require_both_labels(y)
+    keep = ~degenerate_columns(Z)
+    Zs = Z[:, keep]
+    y01 = (y - 1).astype(float)
+    fits = [None] * alphas.size
+    warm = None
+    for a in np.argsort(alphas)[::-1]:
+        if learner == "hinge":
+            coef, report = fit_linear_svm(Zs, y, alphas[a], config)
+        elif learner == "lasso":
+            coef, report = _fit_lasso_prox(Zs, y01, alphas[a], config, warm)
+        else:
+            lam = 0.0 if learner == "logistic" else alphas[a]
+            coef, report = _fit_logistic_newton(Zs, y01, lam, config, warm)
+        if learner in ("ridge", "lasso"):
+            warm = np.concatenate(([coef.intercept], coef.weights))
+        weights = np.zeros(p)
+        weights[keep] = coef.weights
+        fits[a] = (Coefficients(coef.intercept, weights), report)
+    return fits

@@ -24,7 +24,7 @@ from .quantiles import (
     estimate_quantile_table,
     quantile_difference_transform,
 )
-from .binary import VariableScaling, compute_scaling
+from .binary import VariableScaling, compute_scaling, labels_from_scores
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,13 @@ def class_probabilities(x, table: QuantileTable, coef: MulticlassCoefficients):
     blocks = np.zeros((X.shape[0], ids.size, table.p))
     for k, cid in enumerate(ids[:-1]):
         blocks[:, k, :] = -quantile_difference_transform(X, table, int(cid), ref)
-    a = _logits(blocks, coef)
-    a -= a.max(axis=1, keepdims=True)
-    e = np.exp(a)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = _softmax_parts(coef, blocks)[2]
     return probs[0] if squeeze else probs
 
 
-def _softmax_parts(coef, design: MulticlassDesign):
-    a = _logits(design.blocks, coef)
+def _softmax_parts(coef: MulticlassCoefficients, blocks: np.ndarray):
+    """Logits, their log-sum-exp and the class probabilities of blocks."""
+    a = _logits(blocks, coef)
     shift = a.max(axis=1, keepdims=True)
     e = np.exp(a - shift)
     denom = e.sum(axis=1)
@@ -173,36 +171,10 @@ def regularized_loglik(coef: MulticlassCoefficients, design: MulticlassDesign,
     """(1/n) sum log P(y_i | x_i) - (lam/2) sum beta_j^2 (intercepts free)."""
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    a, lse, _ = _softmax_parts(coef, design)
+    a, lse, _ = _softmax_parts(coef, design.blocks)
     picked = np.sum(design.Y.T * a, axis=1)
     w = coef.weights
     return float(np.mean(picked - lse) - 0.5 * lam * np.sum(w * w))
-
-
-def loglik_matrix_form(beta: np.ndarray, design: MulticlassDesign) -> float:
-    """Intercept-free log-likelihood in stacked-matrix form (not 1/n scaled).
-
-    vec(Y)' Q beta - 1_n . log(B1 exp(Q beta)) with Q the (nK, p) stack of
-    blocks. Literal and not overflow-safe; used as the second computation
-    path when validating the stable evaluation.
-    """
-    n, K, p = design.blocks.shape
-    Q = design.blocks.reshape(n * K, p)
-    vecY = design.Y.T.reshape(n * K)  # row i*K+k matches Y[k, i]
-    qb = Q @ beta
-    per_obs = np.exp(qb).reshape(n, K).sum(axis=1)
-    return float(vecY @ qb - np.sum(np.log(per_obs)))
-
-
-def loglik_gradient_matrix_form(beta: np.ndarray, design: MulticlassDesign) -> np.ndarray:
-    """Intercept-free gradient in stacked-matrix form (not 1/n scaled)."""
-    n, K, p = design.blocks.shape
-    Q = design.blocks.reshape(n * K, p)
-    vecY = design.Y.T.reshape(n * K)
-    E = np.exp(Q @ beta)
-    A = (design.blocks * E.reshape(n, K)[:, :, None]).sum(axis=1)  # B1 (Q o E1)
-    C = E.reshape(n, K).sum(axis=1)
-    return vecY @ Q - (A / C[:, None]).sum(axis=0)
 
 
 def _augmented(design: MulticlassDesign) -> np.ndarray:
@@ -226,7 +198,7 @@ def _unpack(v: np.ndarray, p: int) -> MulticlassCoefficients:
 def loglik_gradient(coef: MulticlassCoefficients, design: MulticlassDesign,
                     lam: float) -> np.ndarray:
     """Analytic gradient over (weights, intercepts), length p + K - 1."""
-    _, _, probs = _softmax_parts(coef, design)
+    _, _, probs = _softmax_parts(coef, design.blocks)
     D = _augmented(design)
     resid = design.Y.T - probs  # (n, K)
     g = np.einsum("ikm,ik->m", D, resid) / design.n
@@ -237,7 +209,7 @@ def loglik_gradient(coef: MulticlassCoefficients, design: MulticlassDesign,
 def loglik_hessian(coef: MulticlassCoefficients, design: MulticlassDesign,
                    lam: float) -> np.ndarray:
     """Analytic Hessian over (weights, intercepts); negative semi-definite."""
-    _, _, probs = _softmax_parts(coef, design)
+    _, _, probs = _softmax_parts(coef, design.blocks)
     D = _augmented(design)
     term1 = np.einsum("ikm,ik,ikl->ml", D, probs, D)
     V = np.einsum("ikm,ik->im", D, probs)
@@ -344,7 +316,6 @@ def multiclass_probabilities(x, model: FittedMulticlassEqc):
 
 def predict_multiclass(x, model: FittedMulticlassEqc):
     """argmax-probability label(s); ties go to the smallest class id."""
-    probs = multiclass_probabilities(x, model)
-    idx = np.argmax(np.atleast_2d(probs), axis=1)
-    out = model.class_ids[idx]
+    probs = np.atleast_2d(multiclass_probabilities(x, model))
+    out = labels_from_scores(probs, model.class_ids)
     return int(out[0]) if np.asarray(x).ndim == 1 else out

@@ -15,27 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary import (
-    FittedEqc,
-    compute_scaling,
-    fit_binary_eqc,
-    transform_dataset,
-)
+from .binary import compute_scaling, fit_binary_eqc, labels_from_scores, transform_dataset
 from .data import Dataset
 from .errors import DomainError, TuningError
-from .metalearners import (
-    PenaltySpec,
-    SolverConfig,
-    fit_linear_svm,
-    fit_penalized_logistic,
-    _fit_logistic_newton,
-)
-from .multiclass import build_design, fit_multiclass_eqc, fit_on_design
-from .quantiles import (
-    QuantileParams,
-    degenerate_columns,
-    estimate_quantile_table,
-)
+from .metalearners import PenaltySpec, SolverConfig, fit_path
+from .multiclass import _softmax_parts, build_design, fit_multiclass_eqc, fit_on_design
+from .quantiles import QuantileParams, estimate_quantile_table
 
 LEARNERS = ("ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge")
 _ALPHA_FREE = ("logistic", "unit-weights")
@@ -148,77 +133,35 @@ def misclassification_rate(predictions, truth) -> float:
     return float(np.mean(pred != tru))
 
 
-def _binary_fold_errors(
+def _fold_errors(
     tr: Dataset, te: Dataset, thetas, alphas, learner, config, scaling, fold_id, trace
 ) -> np.ndarray:
-    """Errors (H, A) for one fold; quantiles come from tr only."""
-    ids = tr.class_ids
+    """Errors (H, A) for one fold; scaling and quantiles come from tr only.
+
+    Per theta, both parts are turned into features once and the learner is
+    fitted at every alpha; each fit is scored by the scores and the label
+    rule its refit model predicts with.
+    """
     errs = np.full((len(thetas), len(alphas)), np.nan)
     scaler = compute_scaling(tr.X, scaling) if scaling is not None else None
-    tr_scaled = Dataset(scaler.apply(tr.X), tr.y) if scaler is not None else tr
-    y12 = np.where(tr.y == ids[0], 1, 2)
+    tr_scaled = tr if scaler is None else Dataset(scaler.apply(tr.X), tr.y)
+    y12 = np.where(tr.y == tr.class_ids[0], 1, 2)
     for h, th in enumerate(thetas):
-        theta = QuantileParams.common(th, tr.p)
-        table = estimate_quantile_table(tr_scaled, theta)
-        Z_tr = transform_dataset(tr, table, scaler)
-        Z_te = transform_dataset(te, table, scaler)
-        if learner == "unit-weights":
-            s = Z_te @ np.ones(Z_te.shape[1])
-            pred = np.where(s <= 0, ids[0], ids[1])
-            errs[h, 0] = misclassification_rate(pred, te.y)
-            if trace is not None:
-                trace.append((fold_id, th, np.nan, 0.0, np.ones(tr.p)))
-            continue
-        keep = ~degenerate_columns(Z_tr)
-        Zs, Zv = Z_tr[:, keep], Z_te[:, keep]
-        if learner == "logistic":
-            coef, _ = _fit_logistic_newton(Zs, (y12 - 1).astype(float), 0.0, config)
-            s = coef.decision_values(Zv)
-            pred = np.where(s <= 0, ids[0], ids[1])
-            errs[h, 0] = misclassification_rate(pred, te.y)
-            if trace is not None:
-                trace.append((fold_id, th, np.nan, coef.intercept, coef.weights))
-            continue
-        # strongest regularization first: it is the easiest solve and the
-        # natural warm-start entry (large lambda, or small cost)
-        order = (
-            np.argsort(alphas)[::-1] if learner in ("ridge", "lasso") else np.argsort(alphas)
-        )
-        warm = None
-        for a in order:
-            pen = PenaltySpec(learner, alphas[a]) if learner != "hinge" else None
-            if learner == "hinge":
-                coef, _ = fit_linear_svm(Zs, y12, alphas[a], config)
-            else:
-                coef, _ = fit_penalized_logistic(Zs, y12, pen, config, warm_start=warm)
-                warm = coef
-            s = coef.decision_values(Zv)
-            pred = np.where(s <= 0, ids[0], ids[1])
+        table = estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
+        if learner == "multiclass-ridge":
+            design = build_design(tr, table, scaler)
+            te_blocks = build_design(te, table, scaler).blocks
+            fits = [fit_on_design(design, al, config) for al in alphas]
+            scores = [_softmax_parts(coef, te_blocks)[2] for coef, _ in fits]
+        else:
+            fits = fit_path(transform_dataset(tr, table, scaler), y12, learner, alphas, config)
+            Z_te = transform_dataset(te, table, scaler)
+            scores = [coef.decision_values(Z_te) for coef, _ in fits]
+        for a, ((coef, _), s) in enumerate(zip(fits, scores)):
+            pred = labels_from_scores(s, table.class_ids)
             errs[h, a] = misclassification_rate(pred, te.y)
             if trace is not None:
-                trace.append((fold_id, th, alphas[a], coef.intercept, coef.weights))
-    return errs
-
-
-def _multiclass_fold_errors(
-    tr: Dataset, te: Dataset, thetas, alphas, config, scaling, fold_id, trace
-) -> np.ndarray:
-    errs = np.full((len(thetas), len(alphas)), np.nan)
-    scaler = compute_scaling(tr.X, scaling) if scaling is not None else None
-    tr_scaled = Dataset(scaler.apply(tr.X), tr.y) if scaler is not None else tr
-    for h, th in enumerate(thetas):
-        theta = QuantileParams.common(th, tr.p)
-        table = estimate_quantile_table(tr_scaled, theta)
-        design = build_design(tr, table, scaler)
-        te_design = build_design(te, table, scaler)
-        for a in np.argsort(alphas)[::-1]:
-            coef, _ = fit_on_design(design, alphas[a], config)
-            logits = te_design.blocks @ coef.weights
-            logits[:, : coef.intercepts.size] -= coef.intercepts
-            pred = table.class_ids[np.argmax(logits, axis=1)]
-            errs[h, a] = misclassification_rate(pred, te.y)
-            if trace is not None:
-                trace.append((fold_id, th, alphas[a], coef.intercepts.copy(), coef.weights))
+                trace.append((fold_id, th, alphas[a], coef))
     return errs
 
 
@@ -281,7 +224,8 @@ def tune_and_train(
     errors are equal up to rounding are tied, so the tie-break, not the
     summation order, decides; with unequal fold sizes an equal total
     error count is not a tie. Ties at the minimum prefer the stronger
-    regularization in both conventions, then theta nearest 0.5.
+    regularization in both conventions, then theta nearest 0.5. trace,
+    when given, collects (fold, theta, alpha, coefficients) of every CV fit.
     """
     if learner not in LEARNERS:
         raise DomainError(f"unknown learner {learner!r}")
@@ -304,14 +248,7 @@ def tune_and_train(
         if set(int(k) for k in tr.class_ids) != all_ids:
             warnings.append(f"fold {t} training part misses a class; skipped")
             continue
-        if multiclass:
-            per_fold[t] = _multiclass_fold_errors(
-                tr, te, thetas, alphas, config, scaling, t, trace
-            )
-        else:
-            per_fold[t] = _binary_fold_errors(
-                tr, te, thetas, alphas, learner, config, scaling, t, trace
-            )
+        per_fold[t] = _fold_errors(tr, te, thetas, alphas, learner, config, scaling, t, trace)
     if np.all(np.isnan(per_fold)):
         raise TuningError("no fold produced a usable score")
     with np.errstate(invalid="ignore"):
@@ -322,10 +259,9 @@ def tune_and_train(
     theta = QuantileParams.common(theta_hat, train.p)
     if multiclass:
         model = fit_multiclass_eqc(train, theta, alpha_hat, config, scaling)
-    elif learner in _ALPHA_FREE:
-        model = fit_binary_eqc(train, theta, learner, config, scaling)
     else:
-        model = fit_binary_eqc(train, theta, PenaltySpec(learner, alpha_hat), config, scaling)
+        spec = learner if learner in _ALPHA_FREE else PenaltySpec(learner, alpha_hat)
+        model = fit_binary_eqc(train, theta, spec, config, scaling)
     result = CvResult(
         np.asarray(thetas), np.asarray(alphas), table, per_fold,
         (theta_hat, alpha_hat), warnings,

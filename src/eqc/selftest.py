@@ -23,7 +23,12 @@ from .quantiles import QuantileParams, estimate_quantile_table, quantile_distanc
 from .selection import TuningGrid, make_folds, tune_and_train
 
 
-def _exact_fisher(a, b, c, d) -> float:
+def rational_fisher_pvalue(a: int, b: int, c: int, d: int) -> float:
+    """Two-sided Fisher p of the table [[a, b], [c, d]], the referee.
+
+    Exact rational enumeration of all tables with the observed margins,
+    summing those no more probable than the observed one.
+    """
     n, r1, c1 = a + b + c + d, a + b, a + c
     lo, hi = max(0, r1 + c1 - n), min(r1, c1)
     denom = math.comb(n, r1)
@@ -112,7 +117,7 @@ def run_selftest(verbose: bool = True) -> bool:
     # Fisher exact vs exact-rational enumeration
     ok = True
     for tbl in [(5, 0, 0, 5), (1, 1, 1, 1), (3, 2, 1, 4), (0, 7, 3, 2)]:
-        if abs(fisher_exact_pvalue(*tbl) - _exact_fisher(*tbl)) > 1e-12:
+        if abs(fisher_exact_pvalue(*tbl) - rational_fisher_pvalue(*tbl)) > 1e-12:
             ok = False
     check("Fisher p equals rational enumeration (1e-12)", ok)
 

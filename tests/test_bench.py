@@ -55,8 +55,8 @@ class TestScenarioMode:
         assert summary_lines[0] == "classifier,runs,mean_error,std_error,formatted"
         assert len(summary_lines) == 3
 
-    def test_deterministic_across_thread_counts(self, tmp_path):
-        def run(threads, out):
+    def test_deterministic_across_runs(self, tmp_path):
+        def run(out):
             config = ExperimentConfig(
                 classifiers=("qc", "emc"),
                 replications=4,
@@ -64,13 +64,13 @@ class TestScenarioMode:
                 scenario=ScenarioSpec("t3", 40, 3, seed=0),
                 test_size=200,
                 seed=7,
-                threads=threads,
                 out_dir=str(tmp_path / out),
             )
             return run_experiment(config)
 
-        a = run(1, "a")
-        b = run(3, "b")
+        a = run("a")
+        b = run("b")
+        assert [r[2] for r in a.rows] == [0, 0, 1, 1, 2, 2, 3, 3]  # replication order
         assert a.rows == b.rows
         assert open(a.summary_path).read() == open(b.summary_path).read()
         assert open(a.long_path).read() == open(b.long_path).read()
@@ -238,9 +238,9 @@ class TestConfigFile:
     def test_overrides_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("mode = scenario\nfamily = t3\nn_train = 40\np = 4\nseed = 1\n")
-        config = config_from_file(cfg, {"seed": 99, "threads": 2})
+        config = config_from_file(cfg, {"seed": 99, "out": "elsewhere"})
         assert config.seed == 99
-        assert config.threads == 2
+        assert config.out_dir == "elsewhere"
 
     def test_summarize_groups_by_classifier(self):
         rows = [

@@ -1,5 +1,9 @@
-import numpy as np
+import sys
 
+import numpy as np
+import pytest
+
+import eqc.quantiles
 from eqc import load_dense_csv
 from eqc.cli import cli_entry
 
@@ -98,6 +102,56 @@ class TestFitPredict:
         probs = class_probabilities(fitted.scaling.apply(X), fitted.table, fitted.coef)
         assert np.array_equal(rows[:, 1], fitted.class_ids[np.argmax(probs, axis=1)])
         assert np.allclose(rows[:, 2], probs.max(axis=1), rtol=1e-12)
+
+
+class TestPredictScoresOnce:
+    @pytest.mark.parametrize("classifier, K", [("eqc-ridge", 2), ("eqc-multiclass", 3)])
+    def test_one_transform_per_class_pair(self, tmp_path, monkeypatch, classifier, K):
+        from eqc import (
+            Dataset, eqc_discriminant, load_model, multiclass_probabilities,
+            predict_binary, predict_multiclass, save_dense_csv,
+        )
+
+        rng = np.random.Generator(np.random.PCG64(12))
+        y = np.repeat(np.arange(1, K + 1), 20)
+        X = rng.standard_normal((y.size, 3)) + 0.8 * (y[:, None] - 1)
+        train, model = tmp_path / "d.csv", tmp_path / "model.txt"
+        save_dense_csv(Dataset(X, y), train)
+        assert cli_entry([
+            "fit", "--data", str(train), "--classifier", classifier,
+            "--theta-grid", "0.5", "--alpha-grid", "0.1", "--folds", "2",
+            "--scaling", "sd", "--out", str(model),
+        ]) == 0
+        # count every call, wherever an eqc module holds the function
+        original = eqc.quantiles.quantile_difference_transform
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "eqc" or name.startswith("eqc."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        out = tmp_path / "p.csv"
+        assert cli_entry(["predict", "--model", str(model), "--data", str(train),
+                          "--out", str(out)]) == 0
+        assert len(calls) == K - 1
+        monkeypatch.undo()
+
+        # the file is what a separate score call and predict call give
+        fitted = load_model(model)
+        if K == 2:
+            header = "index,prediction,score"
+            preds, shown = predict_binary(X, fitted), eqc_discriminant(X, fitted)
+        else:
+            header = "index,prediction,max_probability"
+            preds = predict_multiclass(X, fitted)
+            shown = multiclass_probabilities(X, fitted).max(axis=1)
+        rows = [f"{i},{int(k)},{float(v)!r}" for i, (k, v) in enumerate(zip(preds, shown))]
+        assert out.read_text() == "\n".join([header] + rows) + "\n"
 
 
 class TestUsageErrors:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import exact_fisher_two_sided
 from eqc import (
     Dataset,
     DomainError,
@@ -18,6 +17,7 @@ from eqc import (
     save_dense_csv,
     save_sparse_dtm,
 )
+from eqc.selftest import rational_fisher_pvalue
 
 
 def _rng(seed=0):
@@ -167,7 +167,7 @@ class TestFisher:
         for _ in range(100):
             a, b, c, d = (int(v) for v in rng.integers(0, 12, size=4))
             assert fisher_exact_pvalue(a, b, c, d) == pytest.approx(
-                exact_fisher_two_sided(a, b, c, d), abs=1e-12
+                rational_fisher_pvalue(a, b, c, d), abs=1e-12
             )
 
     def test_one_sided_upper_tail(self):

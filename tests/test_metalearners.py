@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from eqc import (
     Coefficients,
@@ -14,11 +15,21 @@ from eqc import (
     fit_penalized_logistic,
     hinge_loss,
 )
-from eqc.metalearners import _fit_logistic_newton, binomial_gradient
+from eqc.metalearners import _fit_logistic_newton
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def binomial_gradient(coef, penalty, Z, y):
+    """Analytic gradient of the ridge objective over (intercept, weights)."""
+    Z = np.asarray(Z, dtype=float)
+    r = expit(coef.decision_values(Z)) - (np.asarray(y) - 1)
+    g = np.empty(Z.shape[1] + 1)
+    g[0] = r.mean()
+    g[1:] = Z.T @ r / Z.shape[0] + penalty.value * coef.weights
+    return g
 
 
 def _naive_binomial(coef, lam, Z, y, kind):

@@ -21,15 +21,37 @@ from eqc import (
     predict_multiclass,
     regularized_loglik,
 )
-from eqc.multiclass import (
-    fit_on_design,
-    loglik_gradient_matrix_form,
-    loglik_matrix_form,
-)
+from eqc.multiclass import fit_on_design
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def loglik_matrix_form(beta, design):
+    """Intercept-free log-likelihood in stacked-matrix form (not 1/n scaled).
+
+    vec(Y)' Q beta - 1_n . log(B1 exp(Q beta)) with Q the (nK, p) stack of
+    blocks. Literal and not overflow-safe: a second computation path for
+    the stable evaluation.
+    """
+    n, K, p = design.blocks.shape
+    Q = design.blocks.reshape(n * K, p)
+    vecY = design.Y.T.reshape(n * K)  # row i*K+k matches Y[k, i]
+    qb = Q @ beta
+    per_obs = np.exp(qb).reshape(n, K).sum(axis=1)
+    return float(vecY @ qb - np.sum(np.log(per_obs)))
+
+
+def loglik_gradient_matrix_form(beta, design):
+    """Intercept-free gradient in stacked-matrix form (not 1/n scaled)."""
+    n, K, p = design.blocks.shape
+    Q = design.blocks.reshape(n * K, p)
+    vecY = design.Y.T.reshape(n * K)
+    E = np.exp(Q @ beta)
+    A = (design.blocks * E.reshape(n, K)[:, :, None]).sum(axis=1)  # B1 (Q o E1)
+    C = E.reshape(n, K).sum(axis=1)
+    return vecY @ Q - (A / C[:, None]).sum(axis=0)
 
 
 def _random_problem(seed, n=30, K=3, p=4, separation=1.0):

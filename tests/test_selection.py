@@ -12,8 +12,11 @@ from eqc import (
     TuningGrid,
     TuningError,
     fit_binary_eqc,
+    fit_multiclass_eqc,
     make_folds,
     misclassification_rate,
+    predict_binary,
+    predict_multiclass,
     tune_and_train,
 )
 from eqc.scenarios import generate
@@ -150,8 +153,8 @@ class TestTuneAndTrain:
         assert len(recs_a) == len(recs_b) > 0
         for ra, rb in zip(recs_a, recs_b):
             assert ra[1] == rb[1]  # theta
-            assert ra[3] == rb[3]  # intercept
-            assert np.array_equal(ra[4], rb[4])  # weights
+            assert ra[3].intercept == rb[3].intercept
+            assert np.array_equal(ra[3].weights, rb[3].weights)
 
     def test_missing_class_fold_skipped_with_warning(self):
         # both class-2 members sit in fold 0 (seed picked for that), so
@@ -220,6 +223,56 @@ class TestTuneAndTrain:
         t_small = timed(small)
         t_large = timed(large)
         assert t_large <= 8.0 * t_small + 0.05
+
+
+class TestFittedModelPredictsAsScored:
+    # refit one fold's training part at one grid cell, predict its held-out
+    # part: the error must be exactly the one CV recorded for that cell.
+    # Off-centre columns on scales 1..1000 make the scaling matter (each
+    # "sd" case fails if predict skips it); ridge and lasso use the largest
+    # lambda, where their path starts cold, small enough to keep weights.
+    @pytest.mark.parametrize("scaling", [None, "sd"])
+    @pytest.mark.parametrize(
+        "learner", ["ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge"]
+    )
+    def test_cv_cell_equals_refit_prediction(self, learner, scaling):
+        K = 3 if learner == "multiclass-ridge" else 2
+        rng = _rng(21)
+        y = np.repeat(np.arange(1, K + 1), 30)
+        scale = np.array([1.0, 10.0, 100.0, 1000.0, 3.0])
+        X = (rng.standard_t(3, size=(y.size, 5)) + 0.6 * (y[:, None] - 1) + 2.0) * scale
+        data = Dataset(X, y)
+        alphas = (0.0003, 0.003, 0.03)
+        grid = TuningGrid((0.3, 0.6), alphas, folds=3, seed=8)
+        _, cv = tune_and_train(data, grid, learner, scaling=scaling)
+        folds = make_folds(y, 3, True, 8)
+        alpha_free = learner in ("logistic", "unit-weights")
+        t, h = 1, 1
+        a = 2 if learner in ("ridge", "lasso") else (0 if alpha_free else 1)
+        tr, te = data.subset(folds != t), data.subset(folds == t)
+        theta = QuantileParams.common(cv.thetas[h], data.p)
+        if learner == "multiclass-ridge":
+            model = fit_multiclass_eqc(tr, theta, alphas[a], scaling=scaling)
+            pred = predict_multiclass(te.X, model)
+        else:
+            spec = learner if alpha_free else PenaltySpec(learner, alphas[a])
+            pred = predict_binary(te.X, fit_binary_eqc(tr, theta, spec, scaling=scaling))
+        assert misclassification_rate(pred, te.y) == cv.per_fold[t, h, a]
+
+    def test_constant_columns_score_as_refit_on_ties(self):
+        # count data with a constant column: held-out points whose hinge
+        # discriminant is exactly 0 (the tie goes to class 1) come out as
+        # 2.8e-17, not 0, when the dropped columns are left out of the dot product
+        rng = np.random.default_rng([2, 77])
+        y = np.repeat([1, 2], 40)
+        X = rng.poisson(np.where(y[:, None] == 1, 0.3, 0.6) * np.linspace(0.05, 2, 12))
+        X[:, 0] = 1
+        data = Dataset(X.astype(float), y)
+        _, cv = tune_and_train(data, TuningGrid((0.3,), (1.0,), folds=3, seed=5), "hinge")
+        folds = make_folds(y, 3, True, 5)
+        tr, te = data.subset(folds != 2), data.subset(folds == 2)
+        model = fit_binary_eqc(tr, QuantileParams.common(0.3, 12), PenaltySpec("hinge", 1.0))
+        assert misclassification_rate(predict_binary(te.X, model), te.y) == cv.per_fold[2, 0, 0]
 
 
 def _fold_mean(counts, sizes):
