@@ -12,14 +12,15 @@ from .binary import (
     FittedEqc,
     PopulationLossEstimate,
     VariableScaling,
+    class_transforms,
     empirical_loss,
     eqc_discriminant,
+    eqc_scores,
     estimate_population_loss,
     fit_binary_eqc,
     oracle_classifier,
     predict_binary,
     qc_discriminant,
-    transform_dataset,
 )
 from .bench import ExperimentConfig, config_from_file, run_experiment
 from .data import Dataset
@@ -38,15 +39,12 @@ from .metalearners import (
 )
 from .modelio import load_model, save_model
 from .multiclass import (
-    FittedMulticlassEqc,
-    MulticlassCoefficients,
     MulticlassDesign,
     build_design,
     class_probabilities,
     fit_multiclass_eqc,
     loglik_gradient,
     loglik_hessian,
-    multiclass_probabilities,
     predict_multiclass,
     regularized_loglik,
 )

@@ -26,7 +26,7 @@ from .errors import DomainError, EqcError, ParseError
 from .features import fisher_exact_select, remove_low_frequency
 from .ingest import load_dense_csv, load_sparse_dtm
 from .metalearners import SolverConfig
-from .multiclass import FittedMulticlassEqc, predict_multiclass
+from .multiclass import predict_multiclass
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import TuningGrid, make_folds, misclassification_rate, tune_and_train
 
@@ -132,9 +132,8 @@ def _fit_and_predict(train: Dataset, test_X, name: str, grid: TuningGrid,
                      scaling, solver: SolverConfig):
     learner = _RECIPES[name][0]
     model, _ = tune_and_train(train, grid, learner, solver, scaling)
-    if isinstance(model, FittedMulticlassEqc):
-        return model, predict_multiclass(test_X, model)
-    return model, predict_binary(test_X, model)
+    predict = predict_multiclass if model.kind == "multiclass-ridge" else predict_binary
+    return model, predict(test_X, model)
 
 
 def _sensitivities(pred, truth, class_ids) -> dict[int, float]:

@@ -1,4 +1,4 @@
-"""Binary discriminants built on quantile-difference features.
+"""The EQC linear model, and binary discriminants on quantile differences.
 
 The plain quantile classifier (QC) sums the transformed features with
 unit weights; its theta = 0.5 special case is the median classifier (MC).
@@ -6,6 +6,11 @@ The ensemble variants (EQC) learn an intercept and weights with one of
 the regularized metalearners, which recovers QC exactly at unit weights
 and zero intercept. A fitted model is an immutable bundle of quantile
 parameters, quantile table, coefficients, and optional pre-scaling.
+
+One model type serves every class count K >= 2, the multiclass fits of
+`multiclass` included. It scores a point against the last class by
+S_k = b_k + w . Q^{(k,K)}(x), k < K, and labels it with the argmin of
+[S | 0]. For K = 2 that is the binary discriminant and its s <= 0 rule.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .quantiles import (
     quantile_difference_transform,
 )
 
-METALEARNER_KINDS = ("ridge", "lasso", "hinge", "logistic", "unit-weights", "oracle")
+METALEARNER_KINDS = (
+    "ridge", "lasso", "hinge", "logistic", "unit-weights", "oracle", "multiclass-ridge",
+)
 
 
 @dataclass(frozen=True)
@@ -68,20 +75,27 @@ def compute_scaling(X: np.ndarray, method: str) -> VariableScaling:
 
 @dataclass(frozen=True)
 class FittedEqc:
-    """Frozen binary model: everything prediction needs."""
+    """Frozen linear model for K >= 2 classes: everything prediction needs.
+
+    kind names the metalearner that fitted coef. The binary ones need
+    K = 2; 'multiclass-ridge' takes any K.
+    """
 
     theta: QuantileParams
     table: QuantileTable
     coef: Coefficients
-    metalearner_kind: str
+    kind: str
     scaling: VariableScaling | None = None
     report: SolverReport | None = None
 
     def __post_init__(self):
-        if self.metalearner_kind not in METALEARNER_KINDS:
-            raise DomainError(f"unknown metalearner kind {self.metalearner_kind!r}")
-        if self.table.n_classes != 2:
-            raise DomainError("binary model requires a 2-class quantile table")
+        if self.kind not in METALEARNER_KINDS:
+            raise DomainError(f"unknown metalearner kind {self.kind!r}")
+        K = self.table.n_classes
+        if self.kind != "multiclass-ridge" and K != 2:
+            raise DomainError(f"{self.kind} model requires a 2-class quantile table")
+        if self.coef.n_classes != K:
+            raise DomainError(f"a {K}-class model needs {K - 1} intercepts")
         if self.coef.weights.size != self.table.p:
             raise DomainError("weight vector length does not match the table")
         if self.scaling is not None and self.scaling.center.size != self.table.p:
@@ -120,42 +134,55 @@ def qc_discriminant(x, table: QuantileTable):
     return z @ np.ones(table.p)
 
 
-def eqc_discriminant(x, model: FittedEqc):
-    """Intercept plus weighted sum of transformed (optionally scaled) inputs."""
+def class_transforms(x, table: QuantileTable, scaling: VariableScaling | None = None):
+    """The K-1 transforms Q^(k,K)(x) against the last class, on axis 0.
+
+    x is a point (p,) or a matrix (n, p), scaled first when a scaling is
+    given; the result has shape (K-1,) + x.shape. For K = 2 its one entry
+    is the binary transform, first class against second.
+    """
     x = np.asarray(x, dtype=float)
-    if model.scaling is not None:
-        x = model.scaling.apply(x)
-    k1, k2 = model.table.class_ids
-    z = quantile_difference_transform(x, model.table, int(k1), int(k2))
-    return model.coef.intercept + z @ model.coef.weights
+    if scaling is not None:
+        x = scaling.apply(x)
+    ids = table.class_ids
+    ref = int(ids[-1])
+    return np.stack([quantile_difference_transform(x, table, int(k), ref) for k in ids[:-1]])
+
+
+def eqc_scores(x, model: FittedEqc) -> np.ndarray:
+    """Scores S[..., k] = b_k + w . Q^(k,K)(x) of raw inputs, scaling applied.
+
+    Shape (n, K-1) for a matrix, (K-1,) for a point.
+    """
+    return model.coef.scores(class_transforms(x, model.table, model.scaling))
+
+
+def eqc_discriminant(x, model: FittedEqc):
+    """Intercept plus weighted sum of transformed (optionally scaled) inputs.
+
+    The score of a 2-class model; class 1 when <= 0.
+    """
+    if model.table.n_classes != 2:
+        raise DomainError("the discriminant is defined for 2-class models")
+    return eqc_scores(x, model).T[0]  # the one column; a float for a point
 
 
 def labels_from_scores(scores, class_ids) -> np.ndarray:
-    """Labels from model scores: the one rule that CV and predict share.
+    """Labels from scores: the one rule that CV and predict share.
 
-    Binary discriminants (a vector): s <= 0, the tie included, goes to the
-    first class. Class probabilities (one row per observation): the
-    largest wins, ties going to the smallest class id.
+    The label is the argmin of [S | 0] along the last axis, ties going to
+    the smallest class id; the appended 0 is the reference class. For K = 2
+    that sends s <= 0, the tie included, to the first class.
     """
     s = np.asarray(scores)
-    if s.ndim == 2:
-        return class_ids[np.argmax(s, axis=1)]
-    return np.where(s <= 0, class_ids[0], class_ids[1])
+    full = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+    return class_ids[np.argmin(full, axis=-1)]
 
 
 def predict_binary(x, model: FittedEqc):
     """Class label(s); the tie s = 0 goes to the first class."""
-    out = labels_from_scores(eqc_discriminant(x, model), model.class_ids)
+    out = labels_from_scores(eqc_scores(x, model), model.class_ids)
     return int(out) if out.ndim == 0 else out
-
-
-def transform_dataset(
-    data: Dataset, table: QuantileTable, scaling: VariableScaling | None = None
-) -> np.ndarray:
-    """Transformed feature matrix of a whole dataset (first vs second class)."""
-    X = data.X if scaling is None else scaling.apply(data.X)
-    k1, k2 = table.class_ids
-    return quantile_difference_transform(X, table, int(k1), int(k2))
 
 
 def fit_binary_eqc(
@@ -188,7 +215,7 @@ def fit_binary_eqc(
     else:
         if np.min(np.bincount(y12)[1:]) < 2:
             raise FitError("each class needs at least 2 observations")
-        Z = transform_dataset(train, table, scaler)
+        [Z] = class_transforms(train.X, table, scaler)
     [(coef, report)] = fit_path(Z, y12, kind, [alpha], config)
     return FittedEqc(theta, table, coef, kind, scaler, report)
 

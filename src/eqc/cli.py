@@ -14,12 +14,12 @@ import sys
 import numpy as np
 
 from .bench import CLASSIFIERS, _RECIPES, config_from_file, run_experiment
-from .binary import FittedEqc, eqc_discriminant, labels_from_scores
+from .binary import eqc_scores, labels_from_scores
 from .data import Dataset
 from .errors import EqcError
 from .ingest import load_dense_csv, save_dense_csv
 from .modelio import load_model, save_model
-from .multiclass import multiclass_probabilities
+from .multiclass import probabilities_from_scores
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import (
     DEFAULT_ALPHA_GRID,
@@ -125,13 +125,13 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     data = load_dense_csv(args.data)
-    if isinstance(model, FittedEqc):
-        header = "index,prediction,score"
-        scores = shown = eqc_discriminant(data.X, model)
-    else:
+    scores = eqc_scores(data.X, model)
+    if model.kind == "multiclass-ridge":
         header = "index,prediction,max_probability"
-        scores = multiclass_probabilities(data.X, model)
-        shown = scores.max(axis=1)
+        shown = probabilities_from_scores(scores).max(axis=1)
+    else:
+        header = "index,prediction,score"
+        shown = scores[:, 0]
     cols = zip(labels_from_scores(scores, model.class_ids), shown)
     with open(args.out, "w") as fh:
         fh.write(header + "\n")

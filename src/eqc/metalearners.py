@@ -28,21 +28,42 @@ VALID_PENALTIES = ("ridge", "lasso", "hinge")
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Intercept plus shared weight vector of a linear discriminant."""
+    """K-1 intercepts plus one shared weight vector of a linear model.
 
-    intercept: float
+    Class k (all but the last) scores b_k + w . Q^(k,K)(x) against the
+    last class, the reference. A binary model has one intercept; a scalar
+    is taken as that one.
+    """
+
+    intercepts: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        b = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise DomainError("weights must be a vector")
-        if not (np.isfinite(self.intercept) and np.all(np.isfinite(w))):
+        if b.ndim != 1 or b.size == 0 or w.ndim != 1:
+            raise DomainError("intercepts and weights must be non-empty vectors")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(w))):
             raise DomainError("coefficients must be finite")
+        object.__setattr__(self, "intercepts", b)
         object.__setattr__(self, "weights", w)
 
-    def decision_values(self, Z: np.ndarray) -> np.ndarray:
-        return self.intercept + np.asarray(Z, dtype=float) @ self.weights
+    @property
+    def n_classes(self) -> int:
+        return self.intercepts.size + 1
+
+    def scores(self, Q) -> np.ndarray:
+        """Scores b_k + Q[k] . w of the K-1 transforms stacked on axis 0.
+
+        Q has shape (K-1, n, p) or (K-1, p); the scores have the classes on
+        the last axis, shape (n, K-1) or (K-1,). Each class is one product
+        of its own transform, so K = 2 gives exactly b + Z . w.
+        """
+        Q = np.asarray(Q, dtype=float)
+        if Q.shape[0] != self.intercepts.size:
+            raise DomainError("transform count does not match the intercepts")
+        return np.stack([b + Qk @ self.weights for b, Qk in zip(self.intercepts, Q)],
+                        axis=-1)
 
 
 @dataclass(frozen=True)
@@ -112,7 +133,7 @@ def _check_design(Z, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binomial_smooth(coef: Coefficients, Z: np.ndarray, y01: np.ndarray) -> float:
-    c = coef.decision_values(Z)
+    c = coef.scores(Z[None])[:, 0]
     return float(np.mean(np.logaddexp(0.0, c) - y01 * c))
 
 
@@ -309,7 +330,7 @@ def fit_penalized_logistic(
     _require_both_labels(y)
     x0 = None
     if warm_start is not None:
-        x0 = np.concatenate(([warm_start.intercept], warm_start.weights))
+        x0 = np.concatenate((warm_start.intercepts, warm_start.weights))
     y01 = (y - 1).astype(float)
     if penalty.kind == "ridge":
         return _fit_logistic_newton(Z, y01, penalty.value, config, x0, trace)
@@ -327,7 +348,7 @@ def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
     if coef.weights.size != Z.shape[1]:
         raise DomainError("coefficient dimension does not match Z")
     s = 2.0 * (y - 1.0) - 1.0
-    margins = s * coef.decision_values(Z)
+    margins = s * coef.scores(Z[None])[:, 0]
     n = Z.shape[0]
     return float(
         np.mean(np.maximum(0.0, 1.0 - margins))
@@ -467,8 +488,8 @@ def fit_path(
             lam = 0.0 if learner == "logistic" else alphas[a]
             coef, report = _fit_logistic_newton(Zs, y01, lam, config, warm)
         if learner in ("ridge", "lasso"):
-            warm = np.concatenate(([coef.intercept], coef.weights))
+            warm = np.concatenate((coef.intercepts, coef.weights))
         weights = np.zeros(p)
         weights[keep] = coef.weights
-        fits[a] = (Coefficients(coef.intercept, weights), report)
+        fits[a] = (Coefficients(coef.intercepts, weights), report)
     return fits

@@ -1,9 +1,11 @@
 """Versioned flat-text model files.
 
 Key = value lines, one section per fitted component. Floats are written
-with repr so a load returns bit-identical values. Binary and multiclass
-models share the format; the class-count header distinguishes them
-(multiclass stores K-1 intercepts against the last class as reference).
+with repr so a load returns bit-identical values. Every model has the same
+fields whatever its class count K: the class ids, one quantile row per
+class, the K-1 intercepts against the last class as reference, and the
+shared weights. A 'lambda' line in files of older multiclass models is
+ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 from .binary import FittedEqc, VariableScaling
 from .errors import ParseError
 from .metalearners import Coefficients
-from .multiclass import FittedMulticlassEqc, MulticlassCoefficients
 from .quantiles import QuantileParams, QuantileTable
 
 FORMAT_NAME = "eqc-model"
@@ -24,16 +25,11 @@ def _fmt_vec(v) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(v, dtype=float))
 
 
-def _parse_vec(s: str) -> np.ndarray:
-    return np.array([float(tok) for tok in s.split()]) if s.strip() else np.empty(0)
-
-
-def save_model(model: FittedEqc | FittedMulticlassEqc, path) -> None:
-    multiclass = isinstance(model, FittedMulticlassEqc)
+def save_model(model: FittedEqc, path) -> None:
     lines = [
         f"format = {FORMAT_NAME}",
         f"version = {FORMAT_VERSION}",
-        f"kind = {'multiclass-ridge' if multiclass else model.metalearner_kind}",
+        f"kind = {model.kind}",
         f"n_classes = {model.table.n_classes}",
         f"n_variables = {model.table.p}",
         "class_ids = " + " ".join(str(int(k)) for k in model.table.class_ids),
@@ -42,11 +38,7 @@ def save_model(model: FittedEqc | FittedMulticlassEqc, path) -> None:
     ]
     for i, k in enumerate(model.table.class_ids):
         lines.append(f"quantiles[{int(k)}] = " + _fmt_vec(model.table.q[i]))
-    if multiclass:
-        lines.append(f"lambda = {model.lam!r}")
-        lines.append("intercepts = " + _fmt_vec(model.coef.intercepts))
-    else:
-        lines.append("intercepts = " + _fmt_vec([model.coef.intercept]))
+    lines.append("intercepts = " + _fmt_vec(model.coef.intercepts))
     lines.append("weights = " + _fmt_vec(model.coef.weights))
     if model.scaling is not None:
         lines.append("scaling_center = " + _fmt_vec(model.scaling.center))
@@ -55,7 +47,7 @@ def save_model(model: FittedEqc | FittedMulticlassEqc, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> FittedEqc | FittedMulticlassEqc:
+def load_model(path) -> FittedEqc:
     fields: dict[str, str] = {}
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -72,33 +64,34 @@ def load_model(path) -> FittedEqc | FittedMulticlassEqc:
             raise ParseError(f"missing field {key!r}")
         return fields[key]
 
+    def integer(key: str) -> int:
+        try:
+            return int(need(key))
+        except ValueError:
+            raise ParseError(f"field {key!r} must be an integer") from None
+
+    def numbers(key: str, convert=float) -> np.ndarray:
+        try:
+            return np.array([convert(tok) for tok in need(key).split()])
+        except ValueError:
+            raise ParseError(f"field {key!r} must hold numbers") from None
+
     if need("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file")
-    if int(need("version")) != FORMAT_VERSION:
+    if integer("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported version {fields['version']}")
-    kind = need("kind")
-    n_classes = int(need("n_classes"))
-    p = int(need("n_variables"))
-    class_ids = np.array([int(t) for t in need("class_ids").split()])
+    n_classes = integer("n_classes")
+    p = integer("n_variables")
+    class_ids = numbers("class_ids", int)
     if class_ids.size != n_classes:
         raise ParseError("class_ids length disagrees with n_classes")
-    theta = QuantileParams(_parse_vec(need("theta")),
-                           common_theta=bool(int(need("common_theta"))))
-    q = np.vstack([_parse_vec(need(f"quantiles[{int(k)}]")) for k in class_ids])
+    theta = QuantileParams(numbers("theta"), common_theta=bool(integer("common_theta")))
+    q = np.vstack([numbers(f"quantiles[{int(k)}]") for k in class_ids])
     if q.shape != (n_classes, p):
         raise ParseError("quantile rows disagree with declared shape")
     table = QuantileTable(q, theta, class_ids)
     scaling = None
     if "scaling_center" in fields:
-        scaling = VariableScaling(
-            _parse_vec(fields["scaling_center"]), _parse_vec(need("scaling_scale"))
-        )
-    intercepts = _parse_vec(need("intercepts"))
-    weights = _parse_vec(need("weights"))
-    if kind == "multiclass-ridge":
-        coef = MulticlassCoefficients(weights, intercepts)
-        return FittedMulticlassEqc(theta, table, coef, float(need("lambda")), scaling)
-    if intercepts.size != 1:
-        raise ParseError("binary model must have exactly one intercept")
-    coef = Coefficients(float(intercepts[0]), weights)
-    return FittedEqc(theta, table, coef, kind, scaling)
+        scaling = VariableScaling(numbers("scaling_center"), numbers("scaling_scale"))
+    coef = Coefficients(numbers("intercepts"), numbers("weights"))
+    return FittedEqc(theta, table, coef, need("kind"), scaling)

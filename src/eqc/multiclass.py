@@ -1,4 +1,4 @@
-"""Multiclass (K > 2) classifier: softmax over quantile-difference features.
+"""Multiclass fit: softmax over quantile-difference features.
 
 One shared weight vector beta plus K-1 intercepts (the last class is the
 reference with intercept 0), so only p + K - 1 coefficients. The class-k
@@ -6,6 +6,11 @@ logit is -C(Q^{(k,K)}(x)) = beta . (-Q^{(k,K)}(x)) - beta_{0,k}; stacking
 the negated transforms as per-observation K x p blocks makes the model a
 plain softmax regression in an augmented design, fitted by Newton ascent
 on the concave L2-regularized log-likelihood (intercepts unpenalized).
+
+The fit is a FittedEqc of kind 'multiclass-ridge' for any K >= 2. It
+scores and labels by the rule of `binary`: the logits are [-S | 0], so
+its class probabilities are their softmax, and at K = 2 its labels are
+those of the binary discriminant.
 """
 
 from __future__ import annotations
@@ -16,37 +21,16 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import SolverConfig, SolverReport
-from .quantiles import (
-    QuantileParams,
-    QuantileTable,
-    degenerate_columns,
-    estimate_quantile_table,
-    quantile_difference_transform,
+from .metalearners import Coefficients, SolverConfig, SolverReport
+from .quantiles import QuantileParams, QuantileTable, degenerate_columns, estimate_quantile_table
+from .binary import (
+    FittedEqc,
+    VariableScaling,
+    class_transforms,
+    compute_scaling,
+    eqc_scores,
+    labels_from_scores,
 )
-from .binary import VariableScaling, compute_scaling, labels_from_scores
-
-
-@dataclass(frozen=True)
-class MulticlassCoefficients:
-    """Shared weights (length p) and K-1 intercepts; the K-th is fixed at 0."""
-
-    weights: np.ndarray
-    intercepts: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.intercepts, dtype=float)
-        if w.ndim != 1 or b.ndim != 1:
-            raise DomainError("weights and intercepts must be vectors")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise DomainError("coefficients must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "intercepts", b)
-
-    @property
-    def n_classes(self) -> int:
-        return self.intercepts.size + 1
 
 
 @dataclass(frozen=True)
@@ -88,74 +72,27 @@ class MulticlassDesign:
         return self.blocks.shape[2]
 
 
-@dataclass(frozen=True)
-class FittedMulticlassEqc:
-    """Frozen multiclass model."""
-
-    theta: QuantileParams
-    table: QuantileTable
-    coef: MulticlassCoefficients
-    lam: float
-    scaling: VariableScaling | None = None
-    report: SolverReport | None = None
-
-    def __post_init__(self):
-        if self.coef.n_classes != self.table.n_classes:
-            raise DomainError("coefficients and table disagree on class count")
-        if self.coef.weights.size != self.table.p:
-            raise DomainError("weight vector length does not match the table")
-
-    @property
-    def class_ids(self) -> np.ndarray:
-        return self.table.class_ids
-
-
 def build_design(data: Dataset, table: QuantileTable,
                  scaling: VariableScaling | None = None) -> MulticlassDesign:
     """Assemble the (n, K, p) blocks and one-hot labels for a dataset."""
     ids = table.class_ids
     if not np.all(np.isin(data.y, ids)):
         raise DomainError("data contains labels missing from the table")
-    X = data.X if scaling is None else scaling.apply(data.X)
-    n, K = data.n, ids.size
-    ref = int(ids[-1])
-    blocks = np.zeros((n, K, table.p))
-    for k, cid in enumerate(ids[:-1]):
-        blocks[:, k, :] = -quantile_difference_transform(X, table, int(cid), ref)
+    Q = class_transforms(data.X, table, scaling)
+    blocks = np.zeros((data.n, ids.size, table.p))
+    blocks[:, :-1, :] = -Q.transpose(1, 0, 2)
     Y = (data.y[None, :] == ids[:, None]).astype(float)
     return MulticlassDesign(blocks, Y)
 
 
-def _logits(blocks: np.ndarray, coef: MulticlassCoefficients) -> np.ndarray:
+def _logits(blocks: np.ndarray, coef: Coefficients) -> np.ndarray:
     """(n, K) array of class logits -C_k = blocks . beta - beta_{0,k}."""
     a = blocks @ coef.weights
     a[:, : coef.intercepts.size] -= coef.intercepts
     return a
 
 
-def class_probabilities(x, table: QuantileTable, coef: MulticlassCoefficients):
-    """Softmax class probabilities, overflow-safe via max subtraction.
-
-    Accepts a point (p,) or matrix (n, p); returns (K,) or (n, K) summing
-    to 1 along classes.
-    """
-    if table.n_classes < 2:
-        raise DomainError("need at least 2 classes")
-    if coef.n_classes != table.n_classes:
-        raise DomainError("coefficients and table disagree on class count")
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    X = np.atleast_2d(x)
-    ids = table.class_ids
-    ref = int(ids[-1])
-    blocks = np.zeros((X.shape[0], ids.size, table.p))
-    for k, cid in enumerate(ids[:-1]):
-        blocks[:, k, :] = -quantile_difference_transform(X, table, int(cid), ref)
-    probs = _softmax_parts(coef, blocks)[2]
-    return probs[0] if squeeze else probs
-
-
-def _softmax_parts(coef: MulticlassCoefficients, blocks: np.ndarray):
+def _softmax_parts(coef: Coefficients, blocks: np.ndarray):
     """Logits, their log-sum-exp and the class probabilities of blocks."""
     a = _logits(blocks, coef)
     shift = a.max(axis=1, keepdims=True)
@@ -166,7 +103,7 @@ def _softmax_parts(coef: MulticlassCoefficients, blocks: np.ndarray):
     return a, lse, probs
 
 
-def regularized_loglik(coef: MulticlassCoefficients, design: MulticlassDesign,
+def regularized_loglik(coef: Coefficients, design: MulticlassDesign,
                        lam: float) -> float:
     """(1/n) sum log P(y_i | x_i) - (lam/2) sum beta_j^2 (intercepts free)."""
     if lam < 0:
@@ -187,15 +124,15 @@ def _augmented(design: MulticlassDesign) -> np.ndarray:
     return D
 
 
-def _pack(coef: MulticlassCoefficients) -> np.ndarray:
+def _pack(coef: Coefficients) -> np.ndarray:
     return np.concatenate([coef.weights, coef.intercepts])
 
 
-def _unpack(v: np.ndarray, p: int) -> MulticlassCoefficients:
-    return MulticlassCoefficients(v[:p].copy(), v[p:].copy())
+def _unpack(v: np.ndarray, p: int) -> Coefficients:
+    return Coefficients(v[p:].copy(), v[:p].copy())
 
 
-def loglik_gradient(coef: MulticlassCoefficients, design: MulticlassDesign,
+def loglik_gradient(coef: Coefficients, design: MulticlassDesign,
                     lam: float) -> np.ndarray:
     """Analytic gradient over (weights, intercepts), length p + K - 1."""
     _, _, probs = _softmax_parts(coef, design.blocks)
@@ -206,7 +143,7 @@ def loglik_gradient(coef: MulticlassCoefficients, design: MulticlassDesign,
     return g
 
 
-def loglik_hessian(coef: MulticlassCoefficients, design: MulticlassDesign,
+def loglik_hessian(coef: Coefficients, design: MulticlassDesign,
                    lam: float) -> np.ndarray:
     """Analytic Hessian over (weights, intercepts); negative semi-definite."""
     _, _, probs = _softmax_parts(coef, design.blocks)
@@ -221,7 +158,7 @@ def loglik_hessian(coef: MulticlassCoefficients, design: MulticlassDesign,
 def fit_on_design(
     design: MulticlassDesign, lam: float, config: SolverConfig = SolverConfig(),
     trace: list | None = None,
-) -> tuple[MulticlassCoefficients, SolverReport]:
+) -> tuple[Coefficients, SolverReport]:
     """Newton ascent with backtracking on the concave objective.
 
     Falls back to a gradient step whenever the Newton direction is not an
@@ -278,7 +215,7 @@ def fit_on_design(
 
     weights = np.zeros(design.p)
     weights[~drop] = coef.weights
-    full = MulticlassCoefficients(weights, coef.intercepts)
+    full = Coefficients(coef.intercepts, weights)
     return full, SolverReport(f, max(it, 1), converged, grad_norm)
 
 
@@ -288,7 +225,7 @@ def fit_multiclass_eqc(
     lam: float,
     config: SolverConfig = SolverConfig(),
     scaling: str | None = None,
-) -> FittedMulticlassEqc:
+) -> FittedEqc:
     """Estimate quantiles, assemble the design, and run the Newton fit."""
     ids = train.class_ids
     if ids.size < 2:
@@ -298,24 +235,30 @@ def fit_multiclass_eqc(
     table = estimate_quantile_table(fit_data, theta)
     design = build_design(train, table, scaler)
     coef, report = fit_on_design(design, lam, config)
-    return FittedMulticlassEqc(theta, table, coef, lam, scaler, report)
+    return FittedEqc(theta, table, coef, "multiclass-ridge", scaler, report)
 
 
-def multiclass_probabilities(x, model: FittedMulticlassEqc):
-    """Class probabilities of a fitted model, its scaling applied first.
+def probabilities_from_scores(scores) -> np.ndarray:
+    """Softmax of [-S | 0] along the last axis, overflow-safe.
 
-    The model's table and coefficients live on the scaled inputs, so this
-    is the one entry that turns raw inputs into the probabilities the model
-    was tuned and scored on.
+    The class-k logit is -S_k; the reference class has logit 0. Rows sum
+    to 1 along the classes.
     """
-    x = np.asarray(x, dtype=float)
-    if model.scaling is not None:
-        x = model.scaling.apply(x)
-    return class_probabilities(x, model.table, model.coef)
+    s = np.asarray(scores, dtype=float)
+    a = np.concatenate([-s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict_multiclass(x, model: FittedMulticlassEqc):
-    """argmax-probability label(s); ties go to the smallest class id."""
-    probs = np.atleast_2d(multiclass_probabilities(x, model))
-    out = labels_from_scores(probs, model.class_ids)
-    return int(out[0]) if np.asarray(x).ndim == 1 else out
+def class_probabilities(x, model: FittedEqc) -> np.ndarray:
+    """Class probabilities of raw inputs, the model's scaling applied first.
+
+    Accepts a point (p,) or a matrix (n, p); returns (K,) or (n, K).
+    """
+    return probabilities_from_scores(eqc_scores(x, model))
+
+
+def predict_multiclass(x, model: FittedEqc):
+    """Label(s) by the shared score rule; ties go to the smallest class id."""
+    out = labels_from_scores(eqc_scores(x, model), model.class_ids)
+    return int(out) if out.ndim == 0 else out

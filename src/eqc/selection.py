@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary import compute_scaling, fit_binary_eqc, labels_from_scores, transform_dataset
+from .binary import class_transforms, compute_scaling, fit_binary_eqc, labels_from_scores
 from .data import Dataset
 from .errors import DomainError, TuningError
 from .metalearners import PenaltySpec, SolverConfig, fit_path
-from .multiclass import _softmax_parts, build_design, fit_multiclass_eqc, fit_on_design
+from .multiclass import build_design, fit_multiclass_eqc, fit_on_design
 from .quantiles import QuantileParams, estimate_quantile_table
 
 LEARNERS = ("ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge")
@@ -150,15 +150,13 @@ def _fold_errors(
         table = estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
         if learner == "multiclass-ridge":
             design = build_design(tr, table, scaler)
-            te_blocks = build_design(te, table, scaler).blocks
             fits = [fit_on_design(design, al, config) for al in alphas]
-            scores = [_softmax_parts(coef, te_blocks)[2] for coef, _ in fits]
         else:
-            fits = fit_path(transform_dataset(tr, table, scaler), y12, learner, alphas, config)
-            Z_te = transform_dataset(te, table, scaler)
-            scores = [coef.decision_values(Z_te) for coef, _ in fits]
-        for a, ((coef, _), s) in enumerate(zip(fits, scores)):
-            pred = labels_from_scores(s, table.class_ids)
+            [Z] = class_transforms(tr.X, table, scaler)
+            fits = fit_path(Z, y12, learner, alphas, config)
+        Q_te = class_transforms(te.X, table, scaler)
+        for a, (coef, _) in enumerate(fits):
+            pred = labels_from_scores(coef.scores(Q_te), table.class_ids)
             errs[h, a] = misclassification_rate(pred, te.y)
             if trace is not None:
                 trace.append((fold_id, th, alphas[a], coef))
@@ -217,7 +215,7 @@ def tune_and_train(
     'unit-weights' (pure QC tuning), 'multiclass-ridge'. Folds missing a
     class in their training part are skipped with a recorded warning; if
     every fold is skipped a TuningError is raised. Returns
-    (FittedEqc-or-FittedMulticlassEqc, CvResult).
+    (FittedEqc, CvResult).
 
     The hinge alpha is a cost (larger = weaker regularization); ridge and
     lasso alphas are penalties (larger = stronger). Cells whose mean

@@ -94,11 +94,16 @@ def run_selftest(verbose: bool = True) -> bool:
     X3[y3 == 2] += 0.8
     X3[y3 == 3] -= 0.8
     m3 = fit_multiclass_eqc(Dataset(X3, y3), QuantileParams.common(0.5, 4), 0.1)
-    probs = class_probabilities(rng.standard_normal((20, 4)), m3.table, m3.coef)
+    probs = class_probabilities(rng.standard_normal((20, 4)), m3)
     check("softmax rows sum to 1 (1e-12)",
           np.abs(probs.sum(axis=1) - 1).max() < 1e-12)
     check("multiclass predicts a known class",
           set(np.unique(predict_multiclass(X3, m3))) <= {1, 2, 3})
+    two = y3 < 3
+    m2 = fit_multiclass_eqc(Dataset(X3[two], y3[two]), QuantileParams.common(0.5, 4), 0.1)
+    check("2-class multiclass labels == binary rule (s <= 0 -> first class)",
+          np.array_equal(predict_multiclass(X3, m2),
+                         np.where(eqc_discriminant(X3, m2) <= 0, 1, 2)))
 
     # folds partition and stratify
     fold = make_folds(np.repeat([1, 2], 20), 5, True, 3)

@@ -131,7 +131,7 @@ class TestOracleCoefficients:
         _, c0, _ = al_oracle_coefficients(base)
         _, c1, _ = al_oracle_coefficients(tilted)
         shift = math.log(0.7 / 0.3) - math.log(1.0)
-        assert c1.intercept - c0.intercept == pytest.approx(shift, abs=1e-14)
+        assert c1.intercepts[0] - c0.intercepts[0] == pytest.approx(shift, abs=1e-14)
 
     def test_prior_shift_makes_class2_more_frequent(self):
         rng = _rng(13)

@@ -24,7 +24,7 @@ from eqc import (
     qc_discriminant,
     save_model,
 )
-from eqc.binary import FittedEqc, transform_dataset
+from eqc.binary import FittedEqc, class_transforms
 from eqc.scenarios import ScenarioSpec
 
 
@@ -124,7 +124,7 @@ class TestFit:
         model = fit_binary_eqc(
             Dataset(X, y), QuantileParams.common(0.5, 4), PenaltySpec("ridge", 0.05)
         )
-        assert abs(model.coef.intercept) < 1e-6
+        assert abs(model.coef.intercepts[0]) < 1e-6
 
     def test_training_loss_beats_qc_on_lognormal(self):
         # weighted fit beats unit weights on its own training split
@@ -210,7 +210,7 @@ class TestLosses:
         data = Dataset(X, y)
         theta = QuantileParams.common(0.4, 2)
         model = fit_binary_eqc(data, theta, PenaltySpec("ridge", 0.3))
-        Z = transform_dataset(data, model.table, model.scaling)
+        [Z] = class_transforms(data.X, model.table, model.scaling)
         lam = 0.3
         with_pen = binomial_loss(model.coef, PenaltySpec("ridge", lam), Z, y)
         assert empirical_loss(model, data) == pytest.approx(
@@ -264,8 +264,8 @@ class TestModelIo:
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path)
-        assert back.metalearner_kind == "lasso"
-        assert back.coef.intercept == model.coef.intercept
+        assert back.kind == "lasso"
+        assert back.coef.intercepts[0] == model.coef.intercepts[0]
         assert np.array_equal(back.coef.weights, model.coef.weights)
         assert np.array_equal(back.table.q, model.table.q)
         assert np.array_equal(back.theta.theta, model.theta.theta)

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestFitPredict:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         fitted = fit_multiclass_eqc(Dataset(X, y), QuantileParams.common(0.5, 4), 0.01,
                                     scaling="sd")
-        probs = class_probabilities(fitted.scaling.apply(X), fitted.table, fitted.coef)
+        probs = class_probabilities(fitted.scaling.apply(X), replace(fitted, scaling=None))
         assert np.array_equal(rows[:, 1], fitted.class_ids[np.argmax(probs, axis=1)])
         assert np.allclose(rows[:, 2], probs.max(axis=1), rtol=1e-12)
 
@@ -108,9 +109,10 @@ class TestPredictScoresOnce:
     @pytest.mark.parametrize("classifier, K", [("eqc-ridge", 2), ("eqc-multiclass", 3)])
     def test_one_transform_per_class_pair(self, tmp_path, monkeypatch, classifier, K):
         from eqc import (
-            Dataset, eqc_discriminant, load_model, multiclass_probabilities,
-            predict_binary, predict_multiclass, save_dense_csv,
+            Dataset, eqc_discriminant, load_model, predict_binary, predict_multiclass,
+            save_dense_csv,
         )
+        from eqc.multiclass import class_probabilities
 
         rng = np.random.Generator(np.random.PCG64(12))
         y = np.repeat(np.arange(1, K + 1), 20)
@@ -149,7 +151,7 @@ class TestPredictScoresOnce:
         else:
             header = "index,prediction,max_probability"
             preds = predict_multiclass(X, fitted)
-            shown = multiclass_probabilities(X, fitted).max(axis=1)
+            shown = class_probabilities(X, fitted).max(axis=1)
         rows = [f"{i},{int(k)},{float(v)!r}" for i, (k, v) in enumerate(zip(preds, shown))]
         assert out.read_text() == "\n".join([header] + rows) + "\n"
 

@@ -25,7 +25,7 @@ def _rng(seed=0):
 def binomial_gradient(coef, penalty, Z, y):
     """Analytic gradient of the ridge objective over (intercept, weights)."""
     Z = np.asarray(Z, dtype=float)
-    r = expit(coef.decision_values(Z)) - (np.asarray(y) - 1)
+    r = expit(coef.intercepts[0] + Z @ coef.weights) - (np.asarray(y) - 1)
     g = np.empty(Z.shape[1] + 1)
     g[0] = r.mean()
     g[1:] = Z.T @ r / Z.shape[0] + penalty.value * coef.weights
@@ -37,7 +37,7 @@ def _naive_binomial(coef, lam, Z, y, kind):
     n = len(y)
     total = 0.0
     for i in range(n):
-        c = coef.intercept + float(np.dot(Z[i], coef.weights))
+        c = coef.intercepts[0] + float(np.dot(Z[i], coef.weights))
         total += -((y[i] - 1) * c - math.log(1.0 + math.exp(c)))
     total /= n
     if kind == "ridge":
@@ -52,7 +52,7 @@ def _naive_hinge(coef, cost, Z, y):
     total = 0.0
     for i in range(n):
         s = 2 * (y[i] - 1) - 1
-        c = coef.intercept + float(np.dot(Z[i], coef.weights))
+        c = coef.intercepts[0] + float(np.dot(Z[i], coef.weights))
         total += max(0.0, 1.0 - s * c)
     return total / n + float(np.sum(coef.weights**2)) / (2 * n * cost)
 
@@ -93,7 +93,7 @@ class TestBinomialLoss:
                 b = Coefficients(rng.normal(), rng.standard_normal(3))
                 t = rng.uniform(0.05, 0.95)
                 mid = Coefficients(
-                    t * a.intercept + (1 - t) * b.intercept,
+                    t * a.intercepts[0] + (1 - t) * b.intercepts[0],
                     t * a.weights + (1 - t) * b.weights,
                 )
                 lhs = binomial_loss(mid, pen, Z, y)
@@ -107,7 +107,7 @@ class TestRidgeNewton:
         y = np.array([1, 2] * 5)
         coef, report = fit_penalized_logistic(Z, y, PenaltySpec("ridge", 0.5))
         assert report.converged
-        assert coef.intercept == pytest.approx(0.0, abs=1e-9)
+        assert coef.intercepts[0] == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(coef.weights, 0.0, atol=1e-9)
 
     def test_beats_grid_search_oracle(self):
@@ -136,7 +136,7 @@ class TestRidgeNewton:
         coef = Coefficients(0.2, rng.standard_normal(4))
         g = binomial_gradient(coef, pen, Z, y)
         eps = 1e-6
-        x = np.concatenate(([coef.intercept], coef.weights))
+        x = np.concatenate(([coef.intercepts[0]], coef.weights))
         for j in range(5):
             lo, hi = x.copy(), x.copy()
             lo[j] -= eps
@@ -226,7 +226,7 @@ class TestLassoProx:
             Z, y, PenaltySpec("lasso", lam), SolverConfig(max_iter=5000)
         )
         y01 = (y - 1).astype(float)
-        c = coef.intercept + Z @ coef.weights
+        c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
         grad_smooth = Z.T @ r / len(y)
         for j, bj in enumerate(coef.weights):
@@ -287,7 +287,7 @@ class TestHinge:
             b = Coefficients(rng.normal(), rng.standard_normal(2))
             t = rng.uniform(0.05, 0.95)
             mid = Coefficients(
-                t * a.intercept + (1 - t) * b.intercept,
+                t * a.intercepts[0] + (1 - t) * b.intercepts[0],
                 t * a.weights + (1 - t) * b.weights,
             )
             lhs = hinge_loss(mid, 2.0, Z, y)
@@ -301,8 +301,8 @@ class TestSvmSolver:
         y = np.array([1, 2])
         coef, _ = fit_linear_svm(Z, y, 100.0)
         assert coef.weights[0] > 0
-        assert coef.intercept + coef.weights[0] > 0
-        assert coef.intercept - coef.weights[0] < 0
+        assert coef.intercepts[0] + coef.weights[0] > 0
+        assert coef.intercepts[0] - coef.weights[0] < 0
 
     def test_zero_design_zero_weights(self):
         Z = np.zeros((8, 2))
@@ -384,5 +384,5 @@ class TestSvmSolver:
         y = np.append(rng.integers(1, 3, size=10), [1, 2])
         c1, _ = fit_linear_svm(Z, y, 1.5)
         c2, _ = fit_linear_svm(Z, y, 1.5)
-        assert c1.intercept == c2.intercept
+        assert c1.intercepts[0] == c2.intercepts[0]
         assert np.array_equal(c1.weights, c2.weights)

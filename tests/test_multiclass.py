@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eqc import (
+    Coefficients,
     Dataset,
     DomainError,
-    MulticlassCoefficients,
+    FittedEqc,
     PenaltySpec,
     QuantileParams,
     build_design,
@@ -16,7 +18,6 @@ from eqc import (
     fit_multiclass_eqc,
     loglik_gradient,
     loglik_hessian,
-    multiclass_probabilities,
     predict_binary,
     predict_multiclass,
     regularized_loglik,
@@ -71,32 +72,36 @@ def _random_problem(seed, n=30, K=3, p=4, separation=1.0):
 
 
 def _random_coef(rng, p, K, scale=0.5):
-    return MulticlassCoefficients(
-        scale * rng.standard_normal(p), scale * rng.standard_normal(K - 1)
+    return Coefficients(
+        scale * rng.standard_normal(K - 1), scale * rng.standard_normal(p)
     )
+
+
+def _model(table, coef):
+    return FittedEqc(table.theta, table, coef, "multiclass-ridge")
 
 
 class TestProbabilities:
     def test_zero_coefficients_uniform(self):
         _, table, _ = _random_problem(1, K=4)
-        coef = MulticlassCoefficients(np.zeros(4), np.zeros(3))
-        probs = class_probabilities(np.zeros(4), table, coef)
+        coef = Coefficients(np.zeros(3), np.zeros(4))
+        probs = class_probabilities(np.zeros(4), _model(table, coef))
         assert np.allclose(probs, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = _rng(2)
         _, table, _ = _random_problem(2, K=3)
         coef = _random_coef(rng, 4, 3, scale=3.0)
-        probs = class_probabilities(rng.standard_normal((50, 4)), table, coef)
+        probs = class_probabilities(rng.standard_normal((50, 4)), _model(table, coef))
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
         assert probs.min() >= 0.0
 
     def test_k2_reduces_to_logistic_link(self):
         rng = _rng(3)
         _, table, _ = _random_problem(3, K=2, p=3)
-        coef = MulticlassCoefficients(rng.standard_normal(3), rng.standard_normal(1))
+        coef = Coefficients(rng.standard_normal(1), rng.standard_normal(3))
         x = rng.standard_normal(3)
-        probs = class_probabilities(x, table, coef)
+        probs = class_probabilities(x, _model(table, coef))
         from eqc.quantiles import quantile_difference_transform
 
         q12 = quantile_difference_transform(x, table, 1, 2)
@@ -105,14 +110,14 @@ class TestProbabilities:
 
     def test_extreme_intercept_drives_probability(self):
         _, table, _ = _random_problem(4, K=3)
-        coef = MulticlassCoefficients(np.zeros(4), np.array([-50.0, 0.0]))
-        probs = class_probabilities(np.zeros(4), table, coef)
+        coef = Coefficients(np.array([-50.0, 0.0]), np.zeros(4))
+        probs = class_probabilities(np.zeros(4), _model(table, coef))
         assert probs[0] > 1.0 - 1e-15
 
     def test_overflow_safe(self):
         _, table, _ = _random_problem(5, K=3)
-        coef = MulticlassCoefficients(np.full(4, 300.0), np.array([-800.0, 900.0]))
-        probs = class_probabilities(np.full(4, 100.0), table, coef)
+        coef = Coefficients(np.array([-800.0, 900.0]), np.full(4, 300.0))
+        probs = class_probabilities(np.full(4, 100.0), _model(table, coef))
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -130,7 +135,7 @@ class TestProbabilities:
 class TestLoglik:
     def test_zero_coefficients_log_k(self):
         _, _, design = _random_problem(7, K=3)
-        coef = MulticlassCoefficients(np.zeros(4), np.zeros(2))
+        coef = Coefficients(np.zeros(2), np.zeros(4))
         assert regularized_loglik(coef, design, 0.0) == pytest.approx(
             -math.log(3.0), abs=1e-14
         )
@@ -152,7 +157,7 @@ class TestLoglik:
         for K, p in ((2, 3), (3, 2), (5, 4)):
             _, _, design = _random_problem(K * 10 + p, n=25, K=K, p=p)
             beta = 0.7 * rng.standard_normal(p)
-            coef = MulticlassCoefficients(beta, np.zeros(K - 1))
+            coef = Coefficients(np.zeros(K - 1), beta)
             stable = regularized_loglik(coef, design, 0.0) * design.n
             literal = loglik_matrix_form(beta, design)
             assert stable == pytest.approx(literal, abs=1e-12 * max(1, abs(literal)))
@@ -161,7 +166,7 @@ class TestLoglik:
         rng = _rng(10)
         _, _, design = _random_problem(11, n=20, K=3, p=4)
         beta = 0.5 * rng.standard_normal(4)
-        coef = MulticlassCoefficients(beta, np.zeros(2))
+        coef = Coefficients(np.zeros(2), beta)
         analytic = loglik_gradient(coef, design, 0.0)[:4] * design.n
         literal = loglik_gradient_matrix_form(beta, design)
         assert np.allclose(analytic, literal, atol=1e-10)
@@ -176,7 +181,7 @@ class TestGradient:
         theta = QuantileParams.common(0.5, 2)
         table = estimate_quantile_table(data, theta)
         design = build_design(data, table)
-        coef = MulticlassCoefficients(np.zeros(2), np.zeros(2))
+        coef = Coefficients(np.zeros(2), np.zeros(2))
         g = loglik_gradient(coef, design, 0.0)
         freq = np.array([1 / 3, 1 / 3])
         assert np.allclose(g[2:], 1.0 / 3.0 - freq, atol=1e-15)
@@ -205,10 +210,10 @@ class TestGradient:
                 hi[j] += eps
                 lo[j] -= eps
                 f_hi = regularized_loglik(
-                    MulticlassCoefficients(hi[:4], hi[4:]), design, lam
+                    Coefficients(hi[4:], hi[:4]), design, lam
                 )
                 f_lo = regularized_loglik(
-                    MulticlassCoefficients(lo[:4], lo[4:]), design, lam
+                    Coefficients(lo[4:], lo[:4]), design, lam
                 )
                 fd = (f_hi - f_lo) / (2 * eps)
                 assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
@@ -249,8 +254,8 @@ class TestHessian:
             hi, lo = v.copy(), v.copy()
             hi[j] += eps
             lo[j] -= eps
-            g_hi = loglik_gradient(MulticlassCoefficients(hi[:3], hi[3:]), design, lam)
-            g_lo = loglik_gradient(MulticlassCoefficients(lo[:3], lo[3:]), design, lam)
+            g_hi = loglik_gradient(Coefficients(hi[3:], hi[:3]), design, lam)
+            g_lo = loglik_gradient(Coefficients(lo[3:], lo[:3]), design, lam)
             fd = (g_hi - g_lo) / (2 * eps)
             assert np.abs(H[j] - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
@@ -261,9 +266,9 @@ class TestHessian:
             a = _random_coef(rng, 3, 3, scale=1.0)
             b = _random_coef(rng, 3, 3, scale=1.0)
             t = rng.uniform(0.05, 0.95)
-            mid = MulticlassCoefficients(
-                t * a.weights + (1 - t) * b.weights,
+            mid = Coefficients(
                 t * a.intercepts + (1 - t) * b.intercepts,
+                t * a.weights + (1 - t) * b.weights,
             )
             lhs = regularized_loglik(mid, design, 0.3)
             rhs = t * regularized_loglik(a, design, 0.3) + (1 - t) * regularized_loglik(
@@ -319,21 +324,16 @@ class TestFit:
 class TestPredict:
     def test_uniform_tie_goes_to_first_class(self):
         _, table, _ = _random_problem(20, K=3)
-        coef = MulticlassCoefficients(np.zeros(4), np.zeros(2))
-        from eqc.multiclass import FittedMulticlassEqc
-
-        model = FittedMulticlassEqc(table.theta, table, coef, 0.0)
-        assert predict_multiclass(np.zeros(4), model) == 1
+        coef = Coefficients(np.zeros(2), np.zeros(4))
+        assert predict_multiclass(np.zeros(4), _model(table, coef)) == 1
 
     def test_argmax_probability_equals_argmax_logit(self):
         rng = _rng(21)
         _, table, _ = _random_problem(21, K=4)
         coef = _random_coef(rng, 4, 4, scale=2.0)
         X = rng.standard_normal((50, 4))
-        probs = class_probabilities(X, table, coef)
-        from eqc.multiclass import FittedMulticlassEqc
-
-        model = FittedMulticlassEqc(table.theta, table, coef, 0.0)
+        model = _model(table, coef)
+        probs = class_probabilities(X, model)
         preds = predict_multiclass(X, model)
         assert np.array_equal(preds, table.class_ids[np.argmax(probs, axis=1)])
 
@@ -347,7 +347,7 @@ class TestPredict:
         back = load_model(path)
         assert np.array_equal(back.coef.weights, model.coef.weights)
         assert np.array_equal(back.coef.intercepts, model.coef.intercepts)
-        assert back.lam == model.lam
+        assert back.kind == "multiclass-ridge"
         pts = _rng(23).standard_normal((40, 3))
         assert np.array_equal(predict_multiclass(pts, back), predict_multiclass(pts, model))
 
@@ -377,8 +377,8 @@ class TestScaling:
         assert np.array_equal(predict_multiclass(data.X, model), expected)
         assert predict_multiclass(data.X[0], model) == expected[0]
         assert np.mean(expected != data.y) == pytest.approx(0.32)
-        probs = multiclass_probabilities(data.X, model)
-        scaled = class_probabilities(model.scaling.apply(data.X), model.table, model.coef)
+        probs = class_probabilities(data.X, model)
+        scaled = class_probabilities(model.scaling.apply(data.X), replace(model, scaling=None))
         assert np.array_equal(probs, scaled)
 
 

@@ -36,3 +36,11 @@ def test_traced_layer_is_a_function(layer):
 def test_worker_names_in_bench():
     assert inspect.isfunction(eqc.bench.fisher_exact_select)
     assert inspect.isfunction(eqc.bench.run_experiment)
+
+
+def test_traced_layers_are_distinct_functions():
+    # the tracer wraps each function once per layer; an alias shared by two
+    # layers would count every call in both
+    fns = [getattr(importlib.import_module(f"eqc.{home}"), name)
+           for home, name in LAYERS.values()]
+    assert len({id(fn) for fn in fns}) == len(fns)

@@ -98,7 +98,7 @@ class TestTuneAndTrain:
             data, QuantileParams.common(0.4, 3), PenaltySpec("ridge", 0.3)
         )
         assert cv.table.shape == (1, 1)
-        assert model.coef.intercept == direct.coef.intercept
+        assert model.coef.intercepts[0] == direct.coef.intercepts[0]
         assert np.array_equal(model.coef.weights, direct.coef.weights)
 
     def test_deterministic_per_seed(self):
@@ -153,7 +153,7 @@ class TestTuneAndTrain:
         assert len(recs_a) == len(recs_b) > 0
         for ra, rb in zip(recs_a, recs_b):
             assert ra[1] == rb[1]  # theta
-            assert ra[3].intercept == rb[3].intercept
+            assert ra[3].intercepts[0] == rb[3].intercepts[0]
             assert np.array_equal(ra[3].weights, rb[3].weights)
 
     def test_missing_class_fold_skipped_with_warning(self):
@@ -194,7 +194,7 @@ class TestTuneAndTrain:
         data = _toy_binary(10, n=40)
         grid = TuningGrid((0.5,), (1.0, 10.0), folds=2, seed=6)
         model_h, _ = tune_and_train(data, grid, "hinge")
-        assert model_h.metalearner_kind == "hinge"
+        assert model_h.kind == "hinge"
         rng = _rng(11)
         X = rng.standard_normal((60, 2))
         y = np.repeat([1, 2, 3], 20)
