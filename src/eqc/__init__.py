@@ -34,7 +34,6 @@ from .metalearners import (
     SolverReport,
     binomial_loss,
     fit_linear_svm,
-    fit_penalized_logistic,
     hinge_loss,
 )
 from .modelio import load_model, save_model
@@ -43,10 +42,7 @@ from .multiclass import (
     build_design,
     class_probabilities,
     fit_multiclass_eqc,
-    loglik_gradient,
-    loglik_hessian,
     predict_multiclass,
-    regularized_loglik,
 )
 from .quantiles import (
     QuantileParams,

@@ -1,14 +1,18 @@
-"""Binary metalearners over transformed features.
+"""Metalearners over transformed features.
 
-Three convex objectives on a design Z (n x p) with labels y in {1, 2}:
+Convex objectives on the class transforms of a design, a matrix Z (n x p)
+with labels y in {1, 2} for the binary learners:
 
-* ridge-penalized binomial deviance, minimized by damped Newton,
+* the ridge-penalized softmax deviance with one shared weight vector, for
+  any K >= 2 classes, minimized by the one damped Newton solver. At K = 2
+  it is the binomial deviance of the ridge, logistic (lambda = 0) and EMC
+  learners; the multiclass-ridge fit of `multiclass` uses it at any K,
 * lasso-penalized binomial deviance, minimized by proximal gradient
   (soft-thresholding) with backtracking,
 * L2-regularized linear hinge loss (a linear C-SVM), minimized exactly by
   SMO on its dual; the report carries the duality gap as a certificate.
 
-The intercept is never penalized. Labels enter the binomial losses as
+The intercepts are never penalized. Labels enter the binomial losses as
 y - 1 in {0, 1} and the hinge loss through the margin labels
 2(y - 1) - 1 in {-1, +1}.
 """
@@ -88,11 +92,14 @@ class PenaltySpec:
 class SolverReport:
     """What a solve reached.
 
-    final_loss is the objective at the returned coefficients; iterations
-    counts Newton or proximal steps, or hinge pair updates; converged is
-    True only when the stopping rule was met within the budget.
-    grad_norm_at_exit is the last gradient norm (Newton), the last step's
-    displacement (lasso) or the duality gap in hinge_loss units (hinge).
+    final_loss is the objective the solver minimizes, at the returned
+    coefficients: the penalized mean negative log-likelihood (Newton, every
+    K; binomial_loss at K = 2), binomial_loss (lasso) or hinge_loss
+    (hinge). iterations counts Newton or proximal steps, or hinge pair
+    updates; converged is True only when the stopping rule was met within
+    the budget. grad_norm_at_exit is the last gradient norm (Newton), the
+    last step's displacement (lasso) or the duality gap in hinge_loss units
+    (hinge).
     """
 
     final_loss: float
@@ -105,11 +112,13 @@ class SolverReport:
 class SolverConfig:
     """Solver tolerances; defaults are deliberately strict.
 
-    tol is the gradient norm threshold for Newton (ridge), the
-    proximal-step displacement threshold for lasso, and the maximal KKT
-    violation of the hinge dual at which SMO stops. max_iter bounds the
-    Newton and proximal iterations; on n observations the hinge solver
-    may make max_iter * n pair updates.
+    tol is the gradient norm threshold for Newton (ridge, logistic and
+    multiclass-ridge), the proximal-step displacement threshold for lasso,
+    and the maximal KKT violation of the hinge dual at which SMO stops.
+    max_iter bounds the Newton and proximal iterations; on n observations
+    the hinge solver may make max_iter * n pair updates. armijo (the
+    sufficient-decrease fraction) and backtrack (the step shrink factor)
+    set the Newton line search; the other solvers ignore them.
     """
 
     tol: float = 1e-8
@@ -158,56 +167,87 @@ def _require_both_labels(y):
         raise FitError("both labels must be present to fit a metalearner")
 
 
-def _fit_logistic_newton(
-    Z: np.ndarray,
-    y01: np.ndarray,
+def _softmax_terms(Q, Y, lam, x):
+    """Objective of the shared-weight softmax at x, and two functions that
+    give its gradient and its Hessian over x there.
+
+    Q is the (K-1, n, p) stack of class transforms against the reference
+    class K, Y the (K-1, n) indicators of the classes 1..K-1, and x holds
+    the intercepts b_1..b_{K-1} and then the shared weights w. Class k < K
+    scores S_k = b_k + Q_k w and has logit -S_k; the reference has logit 0.
+    The objective is the mean negative log-likelihood plus (lam/2)||w||^2,
+    the intercepts unpenalized; at K = 2 it is the binomial deviance of
+    b + Z w with the second class as the event. Its Hessian over the scores
+    is A_kl = P_k ([k = l] - P_l) per observation, so the weight block sums
+    one product Q_k' diag(A_kl) Q_l per class pair, one product at K = 2.
+    The scores are computed once; the derivatives are formed on call.
+    """
+    m, n, p = Q.shape
+    F = Q.reshape(m * n, p)
+    b, w = x[:m], x[m:]
+    S = (F @ w).reshape(m, n) + b[:, None]
+    lse = np.logaddexp.reduce(-S, axis=0, initial=0.0)  # log(1 + sum_k e^{-S_k})
+    f = float((lse + (Y * S).sum(axis=0)).sum() / n + 0.5 * lam * (w * w).sum())
+
+    def gradient():
+        R = (Y - np.exp(-S - lse)) / n  # over the scores, per observation
+        return np.concatenate((R.sum(axis=1), F.T @ R.ravel() + lam * w))
+
+    def hessian():
+        P = np.exp(-S - lse)  # probabilities of the classes 1..K-1
+        A = P[:, None] * (np.eye(m)[:, :, None] - P) / n  # A[k, l] = A_kl / n
+        Hbw = A.reshape(m, m * n) @ F
+        Hww = np.zeros((p, p))
+        for k in range(m):
+            for l in range(k, m):  # A is symmetric in (k, l)
+                T = (Q[k] * A[k, l][:, None]).T @ Q[l]
+                Hww += T if k == l else T + T.T
+        Hww.flat[:: p + 1] += lam
+        H = np.empty((m + p, m + p))
+        H[:m, :m] = A.sum(axis=2)
+        H[:m, m:] = Hbw
+        H[m:, :m] = Hbw.T
+        H[m:, m:] = Hww
+        return H
+
+    return f, gradient, hessian
+
+
+def _softmax_newton(
+    Q: np.ndarray,
+    Y: np.ndarray,
     lam: float,
     config: SolverConfig,
     x0: np.ndarray | None = None,
     trace: list | None = None,
 ) -> tuple[Coefficients, SolverReport]:
-    """Damped Newton on the smooth ridge objective; lam may be 0.
+    """Damped Newton on the shared-weight softmax of _softmax_terms.
 
-    With lam = 0 (plain logistic regression) separable data drives the
-    optimum to infinity; the solver then exhausts max_iter and reports
-    converged=False with its best iterate, as per the solver contract.
-    trace, when given, collects the objective after every accepted step.
+    The one Newton solver: ridge, logistic and EMC at K = 2, and
+    multiclass-ridge at any K >= 2. Each step solves the Newton system,
+    falls back to the gradient when that gives no descent direction, and
+    backtracks to the Armijo condition. With lam = 0 (plain logistic
+    regression) separable data has no minimizer: the weights grow along a
+    separating direction until the gradient norm falls below tol, or until
+    max_iter is exhausted (converged=False). trace, when given, collects
+    the objective after every accepted step.
     """
-    n, p = Z.shape
-    x = np.zeros(p + 1) if x0 is None else x0.astype(float).copy()
-
-    def loss(v):
-        c = v[0] + Z @ v[1:]
-        return float(
-            np.mean(np.logaddexp(0.0, c) - y01 * c) + 0.5 * lam * np.sum(v[1:] ** 2)
-        )
-
-    f = loss(x)
+    m, _, p = Q.shape
+    x = np.zeros(m + p) if x0 is None else x0.astype(float).copy()
+    f, gradient, hessian = _softmax_terms(Q, Y, lam, x)
     if trace is not None:
         trace.append(f)
     grad_norm = np.inf
     it = 0
     for it in range(1, config.max_iter + 1):
-        c = x[0] + Z @ x[1:]
-        mu = expit(c)
-        r = mu - y01
-        g = np.empty(p + 1)
-        g[0] = r.mean()
-        g[1:] = Z.T @ r / n + lam * x[1:]
+        g = gradient()
         grad_norm = float(np.linalg.norm(g))
         if grad_norm < config.tol:
-            return _unpack(x), SolverReport(f, it, True, grad_norm)
-
-        w = mu * (1.0 - mu)
-        H = np.empty((p + 1, p + 1))
-        H[0, 0] = w.sum() / n
-        zw = Z.T @ w / n
-        H[0, 1:] = zw
-        H[1:, 0] = zw
-        H[1:, 1:] = (Z * w[:, None]).T @ Z / n
-        H[1:, 1:][np.diag_indices(p)] += lam
+            return _unpack(x, m), SolverReport(f, it, True, grad_norm)
+        H = hessian()
+        H.flat[:: m + p + 1] += 1e-12
         try:
-            d = np.linalg.solve(H + 1e-12 * np.eye(p + 1), -g)
+            d = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             d = -g
         if g @ d >= 0:  # not a descent direction; fall back to gradient
@@ -217,22 +257,37 @@ def _fit_logistic_newton(
         gd = g @ d
         accepted = False
         while step > 1e-14:
-            f_new = loss(x + step * d)
+            x_new = x + step * d
+            f_new, gradient_new, hessian_new = _softmax_terms(Q, Y, lam, x_new)
             if f_new <= f + config.armijo * step * gd:
                 accepted = True
                 break
             step *= config.backtrack
         if not accepted:
             break
-        x = x + step * d
-        f = f_new
+        x, f, gradient, hessian = x_new, f_new, gradient_new, hessian_new
         if trace is not None:
             trace.append(f)
-    return _unpack(x), SolverReport(f, max(it, 1), False, grad_norm)
+    return _unpack(x, m), SolverReport(f, max(it, 1), False, grad_norm)
 
 
-def _unpack(x: np.ndarray) -> Coefficients:
-    return Coefficients(float(x[0]), x[1:].copy())
+def _fit_logistic_newton(
+    Z: np.ndarray,
+    y01: np.ndarray,
+    lam: float,
+    config: SolverConfig,
+    x0: np.ndarray | None = None,
+) -> tuple[Coefficients, SolverReport]:
+    """The Newton solver at K = 2: ridge on Z and y01 in {0, 1}; lam may be 0.
+
+    An entry of its own, apart from multiclass.fit_on_design, because the
+    benchmark traces the two as separate layers.
+    """
+    return _softmax_newton(Z[None], (1.0 - y01)[None], lam, config, x0)
+
+
+def _unpack(x: np.ndarray, m: int = 1) -> Coefficients:
+    return Coefficients(x[:m].copy(), x[m:].copy())
 
 
 def _fit_lasso_prox(
@@ -309,32 +364,6 @@ def _fit_lasso_prox(
         if disp < config.tol:
             return _unpack(x), SolverReport(f_x, it, True, disp)
     return _unpack(x), SolverReport(f_x, max(it, 1), False, disp)
-
-
-def fit_penalized_logistic(
-    Z,
-    y,
-    penalty: PenaltySpec,
-    config: SolverConfig = SolverConfig(),
-    warm_start: Coefficients | None = None,
-    trace: list | None = None,
-) -> tuple[Coefficients, SolverReport]:
-    """Minimize the penalized binomial deviance; ridge or lasso.
-
-    Non-convergence within max_iter returns the best iterate with
-    converged=False rather than raising.
-    """
-    if penalty.kind not in ("ridge", "lasso"):
-        raise DomainError("fit_penalized_logistic takes a ridge or lasso penalty")
-    Z, y = _check_design(Z, y)
-    _require_both_labels(y)
-    x0 = None
-    if warm_start is not None:
-        x0 = np.concatenate((warm_start.intercepts, warm_start.weights))
-    y01 = (y - 1).astype(float)
-    if penalty.kind == "ridge":
-        return _fit_logistic_newton(Z, y01, penalty.value, config, x0, trace)
-    return _fit_lasso_prox(Z, y01, penalty.value, config, x0)
 
 
 def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
@@ -489,7 +518,12 @@ def fit_path(
             coef, report = _fit_logistic_newton(Zs, y01, lam, config, warm)
         if learner in ("ridge", "lasso"):
             warm = np.concatenate((coef.intercepts, coef.weights))
-        weights = np.zeros(p)
-        weights[keep] = coef.weights
-        fits[a] = (Coefficients(coef.intercepts, weights), report)
+        fits[a] = (_zero_filled(coef, keep), report)
     return fits
+
+
+def _zero_filled(coef: Coefficients, keep: np.ndarray) -> Coefficients:
+    """coef, fitted on the columns in keep, with weight 0 on the others."""
+    weights = np.zeros(keep.size)
+    weights[keep] = coef.weights
+    return Coefficients(coef.intercepts, weights)

@@ -1,11 +1,13 @@
 """Multiclass fit: softmax over quantile-difference features.
 
-One shared weight vector beta plus K-1 intercepts (the last class is the
-reference with intercept 0), so only p + K - 1 coefficients. The class-k
-logit is -C(Q^{(k,K)}(x)) = beta . (-Q^{(k,K)}(x)) - beta_{0,k}; stacking
-the negated transforms as per-observation K x p blocks makes the model a
-plain softmax regression in an augmented design, fitted by Newton ascent
-on the concave L2-regularized log-likelihood (intercepts unpenalized).
+One shared weight vector w plus K-1 intercepts (the last class is the
+reference with intercept 0), so only p + K - 1 coefficients. Class k
+scores S_k = b_k + w . Q^{(k,K)}(x) against the reference and has logit
+-S_k. The design is the stack of the K-1 transforms that
+`binary.class_transforms` returns, and the fit minimizes the mean
+negative log-likelihood plus (lam/2)||w||^2 (intercepts unpenalized) with
+the one damped Newton solver of `metalearners`, the one the binary ridge
+and logistic learners use.
 
 The fit is a FittedEqc of kind 'multiclass-ridge' for any K >= 2. It
 scores and labels by the rule of `binary`: the logits are [-S | 0], so
@@ -21,7 +23,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import Coefficients, SolverConfig, SolverReport
+from .metalearners import (
+    Coefficients, SolverConfig, SolverReport, _softmax_newton, _zero_filled,
+)
 from .quantiles import QuantileParams, QuantileTable, degenerate_columns, estimate_quantile_table
 from .binary import (
     FittedEqc,
@@ -35,188 +39,69 @@ from .binary import (
 
 @dataclass(frozen=True)
 class MulticlassDesign:
-    """Per-observation negated-transform blocks plus one-hot labels.
+    """The K-1 class transforms of a dataset and its labels.
 
-    blocks[i, k] = -Q^{(k,K)}(x_i); row K-1 (the reference class) is
-    exactly zero. Y is the K x n one-hot indicator.
+    Q[k, i] = Q^{(k,K)}(x_i), shape (K-1, n, p), as class_transforms
+    gives them; labels[i] is the position of x_i's class in the table's
+    class ids, so K-1 marks the reference class.
     """
 
-    blocks: np.ndarray
-    Y: np.ndarray
+    Q: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if blocks.ndim != 3:
-            raise DomainError("blocks must have shape (n, K, p)")
-        n, K, _ = blocks.shape
-        if Y.shape != (K, n):
-            raise DomainError("Y must have shape (K, n)")
-        if not np.allclose(Y.sum(axis=0), 1.0):
-            raise DomainError("each Y column must sum to 1")
-        if np.any(blocks[:, K - 1, :] != 0.0):
-            raise DomainError("reference-class rows must be exactly zero")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "Y", Y)
+        Q = np.asarray(self.Q, dtype=float)
+        labels = np.asarray(self.labels)
+        if Q.ndim != 3 or Q.shape[0] < 1:
+            raise DomainError("Q must have shape (K-1, n, p)")
+        if labels.shape != (Q.shape[1],):
+            raise DomainError("labels must have shape (n,)")
+        if not np.all(np.isin(labels, np.arange(Q.shape[0] + 1))):
+            raise DomainError("labels must be class positions 0..K-1")
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "labels", labels.astype(int))
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[0]
+        return self.Q.shape[1]
 
     @property
     def n_classes(self) -> int:
-        return self.blocks.shape[1]
+        return self.Q.shape[0] + 1
 
     @property
     def p(self) -> int:
-        return self.blocks.shape[2]
+        return self.Q.shape[2]
 
 
 def build_design(data: Dataset, table: QuantileTable,
                  scaling: VariableScaling | None = None) -> MulticlassDesign:
-    """Assemble the (n, K, p) blocks and one-hot labels for a dataset."""
+    """Assemble the class transforms and label positions of a dataset."""
     ids = table.class_ids
     if not np.all(np.isin(data.y, ids)):
         raise DomainError("data contains labels missing from the table")
-    Q = class_transforms(data.X, table, scaling)
-    blocks = np.zeros((data.n, ids.size, table.p))
-    blocks[:, :-1, :] = -Q.transpose(1, 0, 2)
-    Y = (data.y[None, :] == ids[:, None]).astype(float)
-    return MulticlassDesign(blocks, Y)
-
-
-def _logits(blocks: np.ndarray, coef: Coefficients) -> np.ndarray:
-    """(n, K) array of class logits -C_k = blocks . beta - beta_{0,k}."""
-    a = blocks @ coef.weights
-    a[:, : coef.intercepts.size] -= coef.intercepts
-    return a
-
-
-def _softmax_parts(coef: Coefficients, blocks: np.ndarray):
-    """Logits, their log-sum-exp and the class probabilities of blocks."""
-    a = _logits(blocks, coef)
-    shift = a.max(axis=1, keepdims=True)
-    e = np.exp(a - shift)
-    denom = e.sum(axis=1)
-    lse = np.log(denom) + shift[:, 0]
-    probs = e / denom[:, None]
-    return a, lse, probs
-
-
-def regularized_loglik(coef: Coefficients, design: MulticlassDesign,
-                       lam: float) -> float:
-    """(1/n) sum log P(y_i | x_i) - (lam/2) sum beta_j^2 (intercepts free)."""
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    a, lse, _ = _softmax_parts(coef, design.blocks)
-    picked = np.sum(design.Y.T * a, axis=1)
-    w = coef.weights
-    return float(np.mean(picked - lse) - 0.5 * lam * np.sum(w * w))
-
-
-def _augmented(design: MulticlassDesign) -> np.ndarray:
-    """(n, K, p+K-1) blocks with unpenalized intercept indicator columns."""
-    n, K, p = design.blocks.shape
-    D = np.zeros((n, K, p + K - 1))
-    D[:, :, :p] = design.blocks
-    for k in range(K - 1):
-        D[:, k, p + k] = -1.0
-    return D
-
-
-def _pack(coef: Coefficients) -> np.ndarray:
-    return np.concatenate([coef.weights, coef.intercepts])
-
-
-def _unpack(v: np.ndarray, p: int) -> Coefficients:
-    return Coefficients(v[p:].copy(), v[:p].copy())
-
-
-def loglik_gradient(coef: Coefficients, design: MulticlassDesign,
-                    lam: float) -> np.ndarray:
-    """Analytic gradient over (weights, intercepts), length p + K - 1."""
-    _, _, probs = _softmax_parts(coef, design.blocks)
-    D = _augmented(design)
-    resid = design.Y.T - probs  # (n, K)
-    g = np.einsum("ikm,ik->m", D, resid) / design.n
-    g[: design.p] -= lam * coef.weights
-    return g
-
-
-def loglik_hessian(coef: Coefficients, design: MulticlassDesign,
-                   lam: float) -> np.ndarray:
-    """Analytic Hessian over (weights, intercepts); negative semi-definite."""
-    _, _, probs = _softmax_parts(coef, design.blocks)
-    D = _augmented(design)
-    term1 = np.einsum("ikm,ik,ikl->ml", D, probs, D)
-    V = np.einsum("ikm,ik->im", D, probs)
-    H = -(term1 - V.T @ V) / design.n
-    H[np.arange(design.p), np.arange(design.p)] -= lam
-    return H
+    positions = np.argmax(data.y[:, None] == ids[None, :], axis=1)
+    return MulticlassDesign(class_transforms(data.X, table, scaling), positions)
 
 
 def fit_on_design(
-    design: MulticlassDesign, lam: float, config: SolverConfig = SolverConfig(),
-    trace: list | None = None,
+    design: MulticlassDesign, lam: float, config: SolverConfig = SolverConfig()
 ) -> tuple[Coefficients, SolverReport]:
-    """Newton ascent with backtracking on the concave objective.
+    """Fit the softmax by the Newton solver of `metalearners`.
 
-    Falls back to a gradient step whenever the Newton direction is not an
-    ascent direction. Feature columns whose blocks are identically zero
-    (degenerate transforms) are dropped for the solve and refilled with
-    zero weights. trace, when given, collects the objective after every
-    accepted step.
+    The report holds the penalized mean negative log-likelihood. Columns
+    that are constant within every class transform can only shift the
+    intercepts; they are dropped for the solve and get weight exactly 0,
+    as in metalearners.fit_path, so at K = 2 this is the ridge fit of
+    fit_path on the one transform. An entry of its own because the
+    benchmark traces it apart from metalearners._fit_logistic_newton.
     """
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    drop = degenerate_columns(design.blocks.reshape(-1, design.p))
-    slim = MulticlassDesign(design.blocks[:, :, ~drop], design.Y)
-
-    p_eff = slim.p
-    K = slim.n_classes
-    v = np.zeros(p_eff + K - 1)
-    coef = _unpack(v, p_eff)
-    f = regularized_loglik(coef, slim, lam)
-    if trace is not None:
-        trace.append(f)
-    converged = False
-    grad_norm = np.inf
-    it = 0
-    for it in range(1, config.max_iter + 1):
-        g = loglik_gradient(coef, slim, lam)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm < config.tol:
-            converged = True
-            break
-        H = loglik_hessian(coef, slim, lam)
-        try:
-            d = np.linalg.solve(H - 1e-12 * np.eye(H.shape[0]), -g)
-        except np.linalg.LinAlgError:
-            d = g
-        if g @ d <= 0:
-            d = g
-        step = 1.0
-        gd = g @ d
-        accepted = False
-        while step > 1e-14:
-            cand = _unpack(v + step * d, p_eff)
-            f_new = regularized_loglik(cand, slim, lam)
-            if f_new >= f + config.armijo * step * gd:
-                accepted = True
-                break
-            step *= config.backtrack
-        if not accepted:
-            break
-        v = v + step * d
-        coef = _unpack(v, p_eff)
-        f = f_new
-        if trace is not None:
-            trace.append(f)
-
-    weights = np.zeros(design.p)
-    weights[~drop] = coef.weights
-    full = Coefficients(coef.intercepts, weights)
-    return full, SolverReport(f, max(it, 1), converged, grad_norm)
+    keep = ~np.all([degenerate_columns(Qk) for Qk in design.Q], axis=0)
+    Y = (design.labels == np.arange(design.n_classes - 1)[:, None]).astype(float)
+    coef, report = _softmax_newton(design.Q[:, :, keep], Y, lam, config)
+    return _zero_filled(coef, keep), report
 
 
 def fit_multiclass_eqc(

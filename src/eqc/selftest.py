@@ -14,10 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .asymlaplace import ALParams, ALPopulation, al_bayes_discriminant
-from .binary import fit_binary_eqc, oracle_classifier, qc_discriminant, eqc_discriminant
+from .binary import (
+    class_transforms, eqc_discriminant, fit_binary_eqc, oracle_classifier, qc_discriminant,
+)
 from .data import Dataset
 from .features import fisher_exact_pvalue
-from .metalearners import Coefficients, PenaltySpec, binomial_loss
+from .metalearners import Coefficients, PenaltySpec, binomial_loss, fit_path
 from .multiclass import class_probabilities, fit_multiclass_eqc, predict_multiclass
 from .quantiles import QuantileParams, estimate_quantile_table, quantile_distance
 from .selection import TuningGrid, make_folds, tune_and_train
@@ -81,8 +83,7 @@ def run_selftest(verbose: bool = True) -> bool:
     if np.unique(yb).size < 2:
         yb[0], yb[1] = 1, 2
     pen = PenaltySpec("ridge", 0.1)
-    from .metalearners import fit_penalized_logistic
-    coef, rep = fit_penalized_logistic(Z, yb, pen)
+    [(coef, rep)] = fit_path(Z, yb, "ridge", [pen.value])
     zero = Coefficients(0.0, np.zeros(3))
     check("ridge solver converged", rep.converged)
     check("ridge solution beats zero model",
@@ -104,6 +105,10 @@ def run_selftest(verbose: bool = True) -> bool:
     check("2-class multiclass labels == binary rule (s <= 0 -> first class)",
           np.array_equal(predict_multiclass(X3, m2),
                          np.where(eqc_discriminant(X3, m2) <= 0, 1, 2)))
+    [(ridge, _)] = fit_path(class_transforms(X3[two], m2.table)[0], y3[two], "ridge", [0.1])
+    check("2-class multiclass fit == binary ridge fit (bit-exact)",
+          np.array_equal(m2.coef.intercepts, ridge.intercepts)
+          and np.array_equal(m2.coef.weights, ridge.weights))
 
     # folds partition and stratify
     fold = make_folds(np.repeat([1, 2], 20), 5, True, 3)

@@ -12,10 +12,9 @@ from eqc import (
     SolverConfig,
     binomial_loss,
     fit_linear_svm,
-    fit_penalized_logistic,
     hinge_loss,
 )
-from eqc.metalearners import _fit_logistic_newton
+from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
 
 
 def _rng(seed=0):
@@ -105,7 +104,7 @@ class TestRidgeNewton:
     def test_all_zero_design_balanced(self):
         Z = np.zeros((10, 2))
         y = np.array([1, 2] * 5)
-        coef, report = fit_penalized_logistic(Z, y, PenaltySpec("ridge", 0.5))
+        [(coef, report)] = fit_path(Z, y, "ridge", [0.5])
         assert report.converged
         assert coef.intercepts[0] == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(coef.weights, 0.0, atol=1e-9)
@@ -116,7 +115,7 @@ class TestRidgeNewton:
         y = np.where(Z[:, 0] + 0.5 * rng.standard_normal(20) > 0, 2, 1)
         y[:2] = [1, 2]
         pen = PenaltySpec("ridge", 0.1)
-        coef, report = fit_penalized_logistic(Z, y, pen)
+        [(coef, report)] = fit_path(Z, y, "ridge", [pen.value])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
         grid = np.linspace(-3, 3, 41)
@@ -152,7 +151,7 @@ class TestRidgeNewton:
         y = np.where(Z @ np.array([1.0, -0.5, 0.2]) > 0, 2, 1)
         y[:2] = [1, 2]
         trace: list = []
-        fit_penalized_logistic(Z, y, PenaltySpec("ridge", 0.05), trace=trace)
+        _softmax_newton(Z[None], (y == 1)[None].astype(float), 0.05, SolverConfig(), trace=trace)
         assert len(trace) >= 2
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
@@ -164,7 +163,7 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         norms = []
         for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
-            coef, _ = fit_penalized_logistic(Z, y, PenaltySpec("ridge", lam))
+            [(coef, _)] = fit_path(Z, y, "ridge", [lam])
             norms.append(np.linalg.norm(coef.weights))
         # heavier penalty never grows the optimum's weight norm
         assert np.all(np.diff(norms) <= 1e-8)
@@ -175,9 +174,7 @@ class TestRidgeNewton:
         y = np.where(Z[:, 0] > 0, 2, 1)
         y[:2] = [1, 2]
         # a one-step budget cannot reach the 1e-8 gradient tolerance
-        coef, report = fit_penalized_logistic(
-            Z, y, PenaltySpec("ridge", 0.01), SolverConfig(max_iter=1)
-        )
+        [(coef, report)] = fit_path(Z, y, "ridge", [0.01], SolverConfig(max_iter=1))
         assert not report.converged
         assert np.isfinite(coef.weights).all()
         assert report.iterations == 1
@@ -191,7 +188,7 @@ class TestSigmoidOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, SolverConfig())
-            ridge, _ = fit_penalized_logistic(Z, y, PenaltySpec("ridge", 1e-12))
+            [(ridge, _)] = fit_path(Z, y, "ridge", [1e-12])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), PenaltySpec("ridge", 1.0), Z, y
             )
@@ -211,7 +208,7 @@ class TestLassoProx:
         # max_j |(1/n) sum z_ij (y01_i - ybar)| <= lambda/2
         corr = np.abs(Z.T @ (y01 - y01.mean())) / len(y)
         lam = 2.0 * corr.max() * 1.0001
-        coef, report = fit_penalized_logistic(Z, y, PenaltySpec("lasso", lam))
+        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
         assert report.converged
         assert np.all(coef.weights == 0.0)
 
@@ -222,9 +219,7 @@ class TestLassoProx:
         y = np.where(Z @ beta_true + 0.3 * rng.standard_normal(60) > 0, 2, 1)
         y[:2] = [1, 2]
         lam = 0.05
-        coef, report = fit_penalized_logistic(
-            Z, y, PenaltySpec("lasso", lam), SolverConfig(max_iter=5000)
-        )
+        [(coef, report)] = fit_path(Z, y, "lasso", [lam], SolverConfig(max_iter=5000))
         y01 = (y - 1).astype(float)
         c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
@@ -242,9 +237,7 @@ class TestLassoProx:
         beta_true = np.zeros(8)
         beta_true[:2] = [3.0, -3.0]
         y = np.where(Z @ beta_true > 0, 2, 1)
-        coef, _ = fit_penalized_logistic(
-            Z, y, PenaltySpec("lasso", 0.1), SolverConfig(max_iter=3000)
-        )
+        [(coef, _)] = fit_path(Z, y, "lasso", [0.1], SolverConfig(max_iter=3000))
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
 

@@ -9,24 +9,85 @@ from eqc import (
     Dataset,
     DomainError,
     FittedEqc,
-    PenaltySpec,
     QuantileParams,
     build_design,
     class_probabilities,
+    class_transforms,
     estimate_quantile_table,
-    fit_binary_eqc,
     fit_multiclass_eqc,
-    loglik_gradient,
-    loglik_hessian,
-    predict_binary,
     predict_multiclass,
-    regularized_loglik,
 )
+from eqc.metalearners import SolverConfig, _softmax_newton, _softmax_terms, fit_path
 from eqc.multiclass import fit_on_design
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# Referees in the padded block format: blocks[i, k] = -Q^{(k,K)}(x_i) for
+# k < K and a zero reference row, Y the K x n one-hot labels, parameters
+# ordered (weights, intercepts), and the log-likelihood maximized. A second
+# computation path for the solver's objective, gradient and Hessian.
+
+
+def _blocks(design):
+    blocks = np.zeros((design.n, design.n_classes, design.p))
+    blocks[:, :-1, :] = -design.Q.transpose(1, 0, 2)
+    return blocks
+
+
+def _onehot(design):
+    return (design.labels == np.arange(design.n_classes)[:, None]).astype(float)
+
+
+def _softmax_parts(coef, blocks):
+    """Logits -C_k = blocks . beta - beta_{0,k}, their log-sum-exp and the
+    class probabilities."""
+    a = blocks @ coef.weights
+    a[:, : coef.intercepts.size] -= coef.intercepts
+    shift = a.max(axis=1, keepdims=True)
+    e = np.exp(a - shift)
+    denom = e.sum(axis=1)
+    return a, np.log(denom) + shift[:, 0], e / denom[:, None]
+
+
+def regularized_loglik(coef, design, lam):
+    """(1/n) sum log P(y_i | x_i) - (lam/2) sum beta_j^2 (intercepts free)."""
+    a, lse, _ = _softmax_parts(coef, _blocks(design))
+    picked = np.sum(_onehot(design).T * a, axis=1)
+    w = coef.weights
+    return float(np.mean(picked - lse) - 0.5 * lam * np.sum(w * w))
+
+
+def _augmented(design):
+    """(n, K, p+K-1) blocks with unpenalized intercept indicator columns."""
+    n, K, p = design.n, design.n_classes, design.p
+    D = np.zeros((n, K, p + K - 1))
+    D[:, :, :p] = _blocks(design)
+    for k in range(K - 1):
+        D[:, k, p + k] = -1.0
+    return D
+
+
+def loglik_gradient(coef, design, lam):
+    """Gradient of regularized_loglik over (weights, intercepts)."""
+    _, _, probs = _softmax_parts(coef, _blocks(design))
+    resid = _onehot(design).T - probs  # (n, K)
+    g = np.einsum("ikm,ik->m", _augmented(design), resid) / design.n
+    g[: design.p] -= lam * coef.weights
+    return g
+
+
+def loglik_hessian(coef, design, lam):
+    """Hessian of regularized_loglik over (weights, intercepts)."""
+    _, _, probs = _softmax_parts(coef, _blocks(design))
+    D = _augmented(design)
+    term1 = np.einsum("ikm,ik,ikl->ml", D, probs, D)
+    V = np.einsum("ikm,ik->im", D, probs)
+    H = -(term1 - V.T @ V) / design.n
+    H[np.arange(design.p), np.arange(design.p)] -= lam
+    return H
 
 
 def loglik_matrix_form(beta, design):
@@ -36,9 +97,9 @@ def loglik_matrix_form(beta, design):
     blocks. Literal and not overflow-safe: a second computation path for
     the stable evaluation.
     """
-    n, K, p = design.blocks.shape
-    Q = design.blocks.reshape(n * K, p)
-    vecY = design.Y.T.reshape(n * K)  # row i*K+k matches Y[k, i]
+    n, K, p = design.n, design.n_classes, design.p
+    Q = _blocks(design).reshape(n * K, p)
+    vecY = _onehot(design).T.reshape(n * K)  # row i*K+k matches Y[k, i]
     qb = Q @ beta
     per_obs = np.exp(qb).reshape(n, K).sum(axis=1)
     return float(vecY @ qb - np.sum(np.log(per_obs)))
@@ -46,13 +107,41 @@ def loglik_matrix_form(beta, design):
 
 def loglik_gradient_matrix_form(beta, design):
     """Intercept-free gradient in stacked-matrix form (not 1/n scaled)."""
-    n, K, p = design.blocks.shape
-    Q = design.blocks.reshape(n * K, p)
-    vecY = design.Y.T.reshape(n * K)
+    n, K, p = design.n, design.n_classes, design.p
+    blocks = _blocks(design)
+    Q = blocks.reshape(n * K, p)
+    vecY = _onehot(design).T.reshape(n * K)
     E = np.exp(Q @ beta)
-    A = (design.blocks * E.reshape(n, K)[:, :, None]).sum(axis=1)  # B1 (Q o E1)
+    A = (blocks * E.reshape(n, K)[:, :, None]).sum(axis=1)  # B1 (Q o E1)
     C = E.reshape(n, K).sum(axis=1)
     return vecY @ Q - (A / C[:, None]).sum(axis=0)
+
+
+def _indicators(design):
+    return _onehot(design)[:-1]
+
+
+def _x(coef):
+    """The solver's parameter vector: intercepts, then weights."""
+    return np.concatenate([coef.intercepts, coef.weights])
+
+
+def _objective(coef, design, lam):
+    return _softmax_terms(design.Q, _indicators(design), lam, _x(coef))[0]
+
+
+def _derivatives(coef, design, lam):
+    _, gradient, hessian = _softmax_terms(design.Q, _indicators(design), lam, _x(coef))
+    return gradient(), hessian()
+
+
+def _from_x(x, K):
+    return Coefficients(x[: K - 1], x[K - 1 :])
+
+
+def _solver_order(p, K):
+    """Positions of the solver's parameters in the referees' order."""
+    return np.concatenate([np.arange(p, p + K - 1), np.arange(p)])
 
 
 def _random_problem(seed, n=30, K=3, p=4, separation=1.0):
@@ -136,29 +225,27 @@ class TestLoglik:
     def test_zero_coefficients_log_k(self):
         _, _, design = _random_problem(7, K=3)
         coef = Coefficients(np.zeros(2), np.zeros(4))
-        assert regularized_loglik(coef, design, 0.0) == pytest.approx(
-            -math.log(3.0), abs=1e-14
-        )
+        assert _objective(coef, design, 0.0) == pytest.approx(math.log(3.0), abs=1e-14)
 
     def test_lambda_zero_equals_unregularized(self):
         rng = _rng(8)
         _, _, design = _random_problem(8, K=3)
         coef = _random_coef(rng, 4, 3)
-        base = regularized_loglik(coef, design, 0.0)
-        pen = regularized_loglik(coef, design, 0.7)
+        base = _objective(coef, design, 0.0)
+        pen = _objective(coef, design, 0.7)
         assert pen == pytest.approx(
-            base - 0.35 * float(np.sum(coef.weights**2)), abs=1e-14
+            base + 0.35 * float(np.sum(coef.weights**2)), abs=1e-14
         )
 
     def test_matrix_form_matches_stable_path(self):
         # the stacked-matrix expression (sum over observations) must agree
-        # with the per-observation logsumexp path, intercepts zeroed
+        # with the solver's per-observation path, intercepts zeroed
         rng = _rng(9)
         for K, p in ((2, 3), (3, 2), (5, 4)):
             _, _, design = _random_problem(K * 10 + p, n=25, K=K, p=p)
             beta = 0.7 * rng.standard_normal(p)
             coef = Coefficients(np.zeros(K - 1), beta)
-            stable = regularized_loglik(coef, design, 0.0) * design.n
+            stable = -_objective(coef, design, 0.0) * design.n
             literal = loglik_matrix_form(beta, design)
             assert stable == pytest.approx(literal, abs=1e-12 * max(1, abs(literal)))
 
@@ -167,14 +254,34 @@ class TestLoglik:
         _, _, design = _random_problem(11, n=20, K=3, p=4)
         beta = 0.5 * rng.standard_normal(4)
         coef = Coefficients(np.zeros(2), beta)
-        analytic = loglik_gradient(coef, design, 0.0)[:4] * design.n
+        g, _ = _derivatives(coef, design, 0.0)
         literal = loglik_gradient_matrix_form(beta, design)
-        assert np.allclose(analytic, literal, atol=1e-10)
+        assert np.allclose(-g[2:] * design.n, literal, atol=1e-10)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    def test_solver_terms_match_einsum_referees(self, K, lam):
+        # objective, gradient and Hessian of the solver are the negated
+        # log-likelihood and its derivatives, parameters reordered
+        rng = _rng(30 + K)
+        for seed in range(3):
+            _, _, design = _random_problem(50 + 10 * K + seed, n=40, K=K, p=5)
+            coef = _random_coef(rng, 5, K, scale=0.8)
+            order = _solver_order(5, K)
+            f = _objective(coef, design, lam)
+            g, H = _derivatives(coef, design, lam)
+            ref_f = -regularized_loglik(coef, design, lam)
+            ref_g = -loglik_gradient(coef, design, lam)[order]
+            ref_H = -loglik_hessian(coef, design, lam)[np.ix_(order, order)]
+            assert abs(f - ref_f) <= 1e-12 * max(1.0, abs(ref_f))
+            assert np.abs(g - ref_g).max() <= 1e-12
+            assert np.abs(H - ref_H).max() <= 1e-12
 
 
 class TestGradient:
     def test_two_observation_intercept_block(self):
-        # at zero coefficients the intercept gradient is 1/K - class freq
+        # at zero coefficients the intercept gradient of the log-likelihood
+        # is 1/K - class freq
         X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         y = np.array([1, 2, 3])
         data = Dataset(X, y)
@@ -182,19 +289,20 @@ class TestGradient:
         table = estimate_quantile_table(data, theta)
         design = build_design(data, table)
         coef = Coefficients(np.zeros(2), np.zeros(2))
-        g = loglik_gradient(coef, design, 0.0)
+        g, _ = _derivatives(coef, design, 0.0)
         freq = np.array([1 / 3, 1 / 3])
-        assert np.allclose(g[2:], 1.0 / 3.0 - freq, atol=1e-15)
+        assert np.allclose(-g[:2], 1.0 / 3.0 - freq, atol=1e-15)
 
     def test_penalty_gradient_is_minus_lambda_beta(self):
+        # of the log-likelihood; the solver minimizes its negative
         rng = _rng(11)
         _, _, design = _random_problem(12, K=3, p=4)
         coef = _random_coef(rng, 4, 3)
-        g0 = loglik_gradient(coef, design, 0.0)
-        g1 = loglik_gradient(coef, design, 0.9)
-        diff = g1 - g0
-        assert np.allclose(diff[:4], -0.9 * coef.weights, atol=1e-12)
-        assert np.allclose(diff[4:], 0.0, atol=1e-15)
+        g0, _ = _derivatives(coef, design, 0.0)
+        g1, _ = _derivatives(coef, design, 0.9)
+        diff = g0 - g1
+        assert np.allclose(diff[2:], -0.9 * coef.weights, atol=1e-12)
+        assert np.allclose(diff[:2], 0.0, atol=1e-15)
 
     def test_finite_difference_agreement(self):
         rng = _rng(12)
@@ -202,64 +310,62 @@ class TestGradient:
             _, _, design = _random_problem(20 + seed, n=25, K=3, p=4)
             coef = _random_coef(rng, 4, 3)
             lam = 0.2
-            g = loglik_gradient(coef, design, lam)
-            v = np.concatenate([coef.weights, coef.intercepts])
+            g, _ = _derivatives(coef, design, lam)
+            v = _x(coef)
             eps = 1e-6
             for j in range(v.size):
                 hi, lo = v.copy(), v.copy()
                 hi[j] += eps
                 lo[j] -= eps
-                f_hi = regularized_loglik(
-                    Coefficients(hi[4:], hi[:4]), design, lam
-                )
-                f_lo = regularized_loglik(
-                    Coefficients(lo[4:], lo[:4]), design, lam
-                )
+                f_hi = _objective(_from_x(hi, 3), design, lam)
+                f_lo = _objective(_from_x(lo, 3), design, lam)
                 fd = (f_hi - f_lo) / (2 * eps)
                 assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 class TestHessian:
     def test_symmetric_and_negative_semidefinite(self):
+        # the log-likelihood Hessian, the negated solver Hessian
         rng = _rng(13)
         for seed in range(10):
             _, _, design = _random_problem(40 + seed, n=20, K=3, p=3)
             coef = _random_coef(rng, 3, 3)
-            H = loglik_hessian(coef, design, 0.0)
+            _, H = _derivatives(coef, design, 0.0)
             assert np.abs(H - H.T).max() < 1e-10
-            assert np.linalg.eigvalsh(H).max() <= 1e-8
+            assert np.linalg.eigvalsh(-H).max() <= 1e-8
 
     def test_lambda_shifts_weight_block_diagonal(self):
         rng = _rng(14)
         _, _, design = _random_problem(15, K=4, p=3)
         coef = _random_coef(rng, 3, 4)
-        H0 = loglik_hessian(coef, design, 0.0)
-        H1 = loglik_hessian(coef, design, 0.6)
+        _, H0 = _derivatives(coef, design, 0.0)
+        _, H1 = _derivatives(coef, design, 0.6)
         delta = H1 - H0
-        assert np.allclose(np.diag(delta)[:3], -0.6, atol=1e-14)
+        assert np.allclose(np.diag(delta)[3:], 0.6, atol=1e-14)
         off = delta.copy()
         np.fill_diagonal(off, 0.0)
         assert np.abs(off).max() < 1e-14
-        assert np.allclose(np.diag(delta)[3:], 0.0, atol=1e-14)
+        assert np.allclose(np.diag(delta)[:3], 0.0, atol=1e-14)
 
     def test_finite_difference_agreement(self):
         _, _, design = _random_problem(16, n=20, K=3, p=3)
         rng = _rng(15)
         coef = _random_coef(rng, 3, 3)
         lam = 0.1
-        H = loglik_hessian(coef, design, lam)
-        v = np.concatenate([coef.weights, coef.intercepts])
+        _, H = _derivatives(coef, design, lam)
+        v = _x(coef)
         eps = 1e-5
         for j in range(v.size):
             hi, lo = v.copy(), v.copy()
             hi[j] += eps
             lo[j] -= eps
-            g_hi = loglik_gradient(Coefficients(hi[3:], hi[:3]), design, lam)
-            g_lo = loglik_gradient(Coefficients(lo[3:], lo[:3]), design, lam)
+            g_hi, _ = _derivatives(_from_x(hi, 3), design, lam)
+            g_lo, _ = _derivatives(_from_x(lo, 3), design, lam)
             fd = (g_hi - g_lo) / (2 * eps)
             assert np.abs(H[j] - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
     def test_concavity_midpoints(self):
+        # the log-likelihood is concave: the solver's objective is convex
         rng = _rng(16)
         _, _, design = _random_problem(17, K=3, p=3)
         for _ in range(40):
@@ -270,36 +376,48 @@ class TestHessian:
                 t * a.intercepts + (1 - t) * b.intercepts,
                 t * a.weights + (1 - t) * b.weights,
             )
-            lhs = regularized_loglik(mid, design, 0.3)
-            rhs = t * regularized_loglik(a, design, 0.3) + (1 - t) * regularized_loglik(
-                b, design, 0.3
-            )
-            assert lhs >= rhs - 1e-10
+            lhs = _objective(mid, design, 0.3)
+            rhs = t * _objective(a, design, 0.3) + (1 - t) * _objective(b, design, 0.3)
+            assert lhs <= rhs + 1e-10
 
 
 class TestFit:
     def test_objective_trace_monotone(self):
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
         trace: list = []
-        fit_on_design(design, 0.05, trace=trace)
+        _softmax_newton(design.Q, _indicators(design), 0.05, SolverConfig(), trace=trace)
         assert len(trace) >= 2
-        assert np.all(np.diff(np.asarray(trace)) >= -1e-12)
+        assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
 
-    def test_k2_matches_binary_ridge_predictions(self):
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_final_loss_is_penalized_negative_loglik(self, K):
+        _, _, design = _random_problem(60 + K, n=45, K=K, p=4)
+        coef, report = fit_on_design(design, 0.05)
+        assert report.converged
+        assert report.final_loss == pytest.approx(
+            -regularized_loglik(coef, design, 0.05), rel=1e-12
+        )
+
+    def test_k2_fit_is_binary_ridge_fit(self):
+        # one Newton solver: at K = 2 the softmax fit on the design and the
+        # binary ridge fit on the one transform are the same computation
         for seed in range(6):
             rng = _rng(100 + seed)
-            X = rng.standard_normal((50, 3))
+            X = rng.standard_normal((50, 4))
             y = np.repeat([1, 2], 25)
             X[y == 2] += 0.8
+            X[:, 2] = 1.5  # a constant input: a constant transformed column
             data = Dataset(X, y)
-            theta = QuantileParams.common(0.4, 3)
+            table = estimate_quantile_table(data, QuantileParams.common(0.4, 4))
             lam = 0.1
-            multi = fit_multiclass_eqc(data, theta, lam)
-            binary = fit_binary_eqc(data, theta, PenaltySpec("ridge", lam))
-            pts = rng.standard_normal((200, 3))
-            assert np.array_equal(
-                predict_multiclass(pts, multi), predict_binary(pts, binary)
+            soft, soft_report = fit_on_design(build_design(data, table), lam)
+            [(ridge, ridge_report)] = fit_path(
+                class_transforms(data.X, table)[0], y, "ridge", [lam]
             )
+            assert np.array_equal(soft.intercepts, ridge.intercepts)
+            assert np.array_equal(soft.weights, ridge.weights)
+            assert soft.weights[2] == 0.0
+            assert soft_report == ridge_report
 
     def test_informative_variable_gets_largest_weight(self):
         rng = _rng(19)
@@ -364,7 +482,7 @@ def _scaled_toy():
 def _cv_predictions(data, model):
     """Labels as CV scores them: scaled design, shared weights, intercepts."""
     design = build_design(data, model.table, model.scaling)
-    logits = design.blocks @ model.coef.weights
+    logits = _blocks(design) @ model.coef.weights
     logits[:, : model.coef.intercepts.size] -= model.coef.intercepts
     return model.class_ids[np.argmax(logits, axis=1)]
 
@@ -383,14 +501,16 @@ class TestScaling:
 
 
 class TestDesign:
-    def test_reference_row_zero_and_one_hot(self):
+    def test_transforms_and_label_positions(self):
         data, table, design = _random_problem(24, K=3)
-        assert np.all(design.blocks[:, -1, :] == 0.0)
-        assert np.allclose(design.Y.sum(axis=0), 1.0)
-        assert design.Y.shape == (3, data.n)
+        assert np.array_equal(design.Q, class_transforms(data.X, table))
+        assert np.array_equal(table.class_ids[design.labels], data.y)
+        assert (design.n, design.n_classes, design.p) == (data.n, 3, 4)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(DomainError):
-            from eqc import MulticlassDesign
+        from eqc import MulticlassDesign
 
-            MulticlassDesign(np.zeros((2, 3, 1)), np.ones((3, 2)))  # cols sum to 3
+        with pytest.raises(DomainError):
+            MulticlassDesign(np.zeros((2, 3, 1)), np.zeros(2))  # 3 labels needed
+        with pytest.raises(DomainError):
+            MulticlassDesign(np.zeros((2, 3, 1)), np.array([0, 1, 3]))  # K = 3
