@@ -129,11 +129,11 @@ def _tune_grid_for(config: ExperimentConfig, name: str, rep: int) -> TuningGrid:
 
 
 def _fit_and_predict(train: Dataset, test_X, name: str, grid: TuningGrid,
-                     scaling, solver: SolverConfig):
+                     scaling, solver: SolverConfig) -> np.ndarray:
     learner = _RECIPES[name][0]
     model, _ = tune_and_train(train, grid, learner, solver, scaling)
     predict = predict_multiclass if model.kind == "multiclass-ridge" else predict_binary
-    return model, predict(test_X, model)
+    return predict(test_X, model)
 
 
 def _sensitivities(pred, truth, class_ids) -> dict[int, float]:
@@ -144,24 +144,28 @@ def _sensitivities(pred, truth, class_ids) -> dict[int, float]:
     return out
 
 
-def _scenario_replication(config: ExperimentConfig, rep: int, solver: SolverConfig):
-    spec = replace(config.scenario, seed=_sub_seed(config.seed, rep))
-    data = generate(spec, config.test_size)
+def _score_classifiers(config: ExperimentConfig, train: Dataset, test: Dataset,
+                       rep: int, fold: int | None, solver: SolverConfig):
+    """Tune, predict and score each classifier: rows, sensitivities, failures."""
+    where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
+    task = rep if fold is None else rep * config.outer_folds + fold
     rows, sens, fails = [], [], []
     for name in config.classifiers:
         try:
-            grid = _tune_grid_for(config, name, rep)
-            _, pred = _fit_and_predict(
-                data.train, data.test.X, name, grid, config.scaling, solver
-            )
-            err = misclassification_rate(pred, data.test.y)
-            rows.append((config.label, name, rep, None, err))
+            grid = _tune_grid_for(config, name, task)
+            pred = _fit_and_predict(train, test.X, name, grid, config.scaling, solver)
+            rows.append((config.label, name, rep, fold, misclassification_rate(pred, test.y)))
             if name == "eqc-multiclass":
-                sens.append((name, rep, _sensitivities(pred, data.test.y,
-                                                       data.train.class_ids)))
+                sens.append((name, rep, _sensitivities(pred, test.y, train.class_ids)))
         except EqcError as exc:
-            fails.append(f"rep {rep} {name}: {exc}")
+            fails.append(f"{where}{name}: {exc}")
     return rows, sens, fails
+
+
+def _scenario_replication(config: ExperimentConfig, rep: int, solver: SolverConfig):
+    spec = replace(config.scenario, seed=_sub_seed(config.seed, rep))
+    data = generate(spec, config.test_size)
+    return _score_classifiers(config, data.train, data.test, rep, None, solver)
 
 
 def _select_columns(train: Dataset, config: ExperimentConfig) -> np.ndarray | None:
@@ -189,19 +193,10 @@ def _dataset_replication(config: ExperimentConfig, data: Dataset, rep: int,
         if trace is not None:
             trace.append((rep, f, None if cols is None else cols.copy()))
         tr_f = tr if cols is None else Dataset(tr.X[:, cols], tr.y)
-        te_X = te.X if cols is None else te.X[:, cols]
-        for name in config.classifiers:
-            try:
-                grid = _tune_grid_for(config, name, rep * config.outer_folds + f)
-                _, pred = _fit_and_predict(tr_f, te_X, name, grid,
-                                           config.scaling, solver)
-                err = misclassification_rate(pred, te.y)
-                rows.append((config.label, name, rep, f, err))
-                if name == "eqc-multiclass":
-                    sens.append((name, rep, _sensitivities(pred, te.y,
-                                                           data.class_ids)))
-            except EqcError as exc:
-                fails.append(f"rep {rep} fold {f} {name}: {exc}")
+        te_f = te if cols is None else Dataset(te.X[:, cols], te.y)
+        scored = _score_classifiers(config, tr_f, te_f, rep, f, solver)
+        for out, new in zip((rows, sens, fails), scored):
+            out += new
     return rows, sens, fails
 
 

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .bench import CLASSIFIERS, _RECIPES, config_from_file, run_experiment
+from .bench import CLASSIFIERS, _RECIPES, _parse_grid_token, config_from_file, run_experiment
 from .binary import eqc_scores, labels_from_scores
 from .data import Dataset
 from .errors import EqcError
@@ -80,14 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_grid_arg(token: str | None, default: tuple) -> tuple:
-    if token is None:
-        return default
-    from .bench import _parse_grid_token
-
-    return _parse_grid_token(token)
-
-
 def _cmd_simulate(args) -> int:
     spec = ScenarioSpec(
         family=args.family, n_train=args.n, p=args.p,
@@ -105,8 +97,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     data = load_dense_csv(args.data)
     learner, tune_theta, tune_alpha = _RECIPES[args.classifier]
-    theta_grid = _parse_grid_arg(args.theta_grid, DEFAULT_THETA_GRID)
-    alpha_grid = _parse_grid_arg(args.alpha_grid, DEFAULT_ALPHA_GRID)
+    theta_grid = (DEFAULT_THETA_GRID if args.theta_grid is None
+                  else _parse_grid_token(args.theta_grid))
+    alpha_grid = (DEFAULT_ALPHA_GRID if args.alpha_grid is None
+                  else _parse_grid_token(args.alpha_grid))
     grid = TuningGrid(
         theta_grid if tune_theta else (0.5,),
         alpha_grid if tune_alpha else (1.0,),

@@ -19,7 +19,7 @@ from .binary import (
 )
 from .data import Dataset
 from .features import fisher_exact_pvalue
-from .metalearners import Coefficients, PenaltySpec, binomial_loss, fit_path
+from .metalearners import Coefficients, PenaltySpec, SolverConfig, binomial_loss, fit_path
 from .multiclass import class_probabilities, fit_multiclass_eqc, predict_multiclass
 from .quantiles import QuantileParams, estimate_quantile_table, quantile_distance
 from .selection import TuningGrid, make_folds, tune_and_train
@@ -88,6 +88,13 @@ def run_selftest(verbose: bool = True) -> bool:
     check("ridge solver converged", rep.converged)
     check("ridge solution beats zero model",
           binomial_loss(coef, pen, Z, yb) <= binomial_loss(zero, pen, Z, yb) + 1e-12)
+
+    # lasso: all-zero weights from the threshold 2 max_j |Z_j'(y - ybar)| / n up
+    lam0 = 2.0 * np.abs(Z.T @ (yb - yb.mean())).max() / yb.size
+    [(above, rep_a), (below, rep_b)] = fit_path(Z, yb, "lasso", [1.0001 * lam0, 0.5 * lam0])
+    check("lasso: weights exactly 0 just above its threshold, KKT norm <= tol below",
+          rep_a.converged and np.all(above.weights == 0.0)
+          and rep_b.converged and rep_b.grad_norm_at_exit <= SolverConfig().tol)
 
     # multiclass probabilities sum to one; K=2 matches the binary rule
     X3 = rng.standard_normal((90, 4))

@@ -9,11 +9,16 @@ from eqc import (
     Coefficients,
     DomainError,
     PenaltySpec,
+    QuantileParams,
+    ScenarioSpec,
     SolverConfig,
     binomial_loss,
+    estimate_quantile_table,
     fit_linear_svm,
+    generate,
     hinge_loss,
 )
+from eqc.binary import class_transforms
 from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
 
 
@@ -150,11 +155,14 @@ class TestRidgeNewton:
         Z = rng.standard_normal((40, 3))
         y = np.where(Z @ np.array([1.0, -0.5, 0.2]) > 0, 2, 1)
         y[:2] = [1, 2]
-        trace: list = []
-        _softmax_newton(Z[None], (y == 1)[None].astype(float), 0.05, SolverConfig(), trace=trace)
-        assert len(trace) >= 2
-        diffs = np.diff(np.asarray(trace))
-        assert np.all(diffs <= 1e-12)
+        # ridge, and the lasso (l1 > 0), whose trace is the penalized objective
+        for lam, l1 in ((0.05, 0.0), (0.0, 0.05)):
+            trace: list = []
+            _softmax_newton(Z[None], (y == 1)[None].astype(float), lam, SolverConfig(),
+                            trace=trace, l1=l1)
+            assert len(trace) >= 2
+            diffs = np.diff(np.asarray(trace))
+            assert np.all(diffs <= 1e-12)
 
     def test_doubling_lambda_shrinks_weights(self):
         rng = _rng(29)
@@ -173,11 +181,13 @@ class TestRidgeNewton:
         Z = rng.standard_normal((30, 3))
         y = np.where(Z[:, 0] > 0, 2, 1)
         y[:2] = [1, 2]
-        # a one-step budget cannot reach the 1e-8 gradient tolerance
-        [(coef, report)] = fit_path(Z, y, "ridge", [0.01], SolverConfig(max_iter=1))
-        assert not report.converged
-        assert np.isfinite(coef.weights).all()
-        assert report.iterations == 1
+        # a one-step budget cannot reach the 1e-8 (sub)gradient tolerance
+        for kind in ("ridge", "lasso"):
+            [(coef, report)] = fit_path(Z, y, kind, [0.01], SolverConfig(max_iter=1))
+            assert not report.converged
+            assert np.isfinite(coef.weights).all()
+            assert report.iterations == 1
+            assert report.grad_norm_at_exit > 1e-8
 
 
 class TestSigmoidOverflow:
@@ -197,7 +207,64 @@ class TestSigmoidOverflow:
         assert np.all(np.isfinite(g))
 
 
+def _lasso_referee(Z, y, lam):
+    """Independent lasso minimizer: L-BFGS-B on the split form w = u - v.
+
+    With u, v >= 0 the penalty (lam/2)(sum u + sum v) is smooth, so a
+    bound-constrained quasi-Newton method solves the problem without any
+    of the proximal machinery under test.
+    """
+    from scipy.optimize import minimize
+
+    n, p = Z.shape
+    y01 = (np.asarray(y) - 1).astype(float)
+
+    def fun(v):
+        c = v[0] + Z @ (v[1 : p + 1] - v[p + 1 :])
+        r = expit(c) - y01
+        gw = Z.T @ r / n
+        f = np.mean(np.logaddexp(0.0, c) - y01 * c) + 0.5 * lam * v[1:].sum()
+        return f, np.concatenate(([r.mean()], gw + 0.5 * lam, -gw + 0.5 * lam))
+
+    res = minimize(fun, np.zeros(2 * p + 1), jac=True, method="L-BFGS-B",
+                   bounds=[(None, None)] + [(0.0, None)] * (2 * p),
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000})
+    return Coefficients(res.x[0], res.x[1 : p + 1] - res.x[p + 1 :])
+
+
 class TestLassoProx:
+    @pytest.mark.parametrize("seed, n, p, lam", [(81, 30, 3, 0.02), (83, 50, 6, 0.1),
+                                                 (89, 80, 10, 0.005)])
+    def test_not_above_lbfgsb_referee(self, seed, n, p, lam):
+        rng = _rng(seed)
+        Z = rng.standard_normal((n, p))
+        y = np.where(Z[:, 0] - 0.5 * Z[:, 1] + rng.standard_normal(n) > 0, 2, 1)
+        y[:2] = [1, 2]
+        pen = PenaltySpec("lasso", lam)
+        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
+        referee = binomial_loss(_lasso_referee(Z, y, lam), pen, Z, y)
+        assert binomial_loss(coef, pen, Z, y) <= referee + 1e-9
+        assert report.converged
+        assert report.grad_norm_at_exit <= 1e-8
+        assert report.final_loss == pytest.approx(binomial_loss(coef, pen, Z, y), abs=1e-14)
+
+    def test_converges_where_proximal_gradient_stalled(self):
+        # heterogeneous scenario with half noise columns, theta = 0.05: an
+        # ill-conditioned path on which plain proximal gradient (FISTA) does
+        # not converge within 500 steps at lambda = 0.003
+        spec = ScenarioSpec("heterogeneous", 100, 50, noise_fraction=0.5, delta=0.2, seed=0)
+        data = generate(spec, 2).train
+        table = estimate_quantile_table(data, QuantileParams.common(0.05, 50))
+        Z = class_transforms(data.X, table)[0]
+        fits = fit_path(Z, data.y, "lasso", [3.0, 0.1, 0.003])
+        for _, report in fits:
+            assert report.converged
+            assert report.grad_norm_at_exit <= 1e-8
+            assert report.iterations < 50
+        referee = binomial_loss(_lasso_referee(Z, data.y, 0.003), PenaltySpec("lasso", 0.003),
+                                Z, data.y)
+        assert fits[2][1].final_loss <= referee + 1e-9
+
     def test_above_critical_threshold_weights_zero(self):
         rng = _rng(31)
         Z = rng.standard_normal((40, 5))
