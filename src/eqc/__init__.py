@@ -30,7 +30,6 @@ from .ingest import SparseDtm, load_dense_csv, load_sparse_dtm, save_dense_csv, 
 from .metalearners import (
     Coefficients,
     PenaltySpec,
-    SolverConfig,
     SolverReport,
     binomial_loss,
     fit_linear_svm,
@@ -55,7 +54,6 @@ from .quantiles import (
 from .scenarios import (
     GeneratedData,
     ScenarioSpec,
-    apply_gaussian_copula,
     generate,
     random_correlation_matrix,
     sample_base_variable,

@@ -10,7 +10,9 @@ Two protocols:
   and any feature selection done inside each training fold.
 
 All randomness derives from the master seed by replication index, so a
-run is reproducible; replications run one after another, in order.
+run is reproducible; replications run one after another, in order. Every
+fit runs the metalearners solvers at their module settings (TOL,
+MAX_ITER, ARMIJO, BACKTRACK); a run has no solver options of its own.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import numpy as np
 
 from .binary import predict_binary
 from .data import Dataset
-from .errors import DomainError, EqcError, ParseError
+from .errors import DomainError, EqcError
 from .features import fisher_exact_select, remove_low_frequency
-from .ingest import load_dense_csv, load_sparse_dtm
-from .metalearners import SolverConfig
+from .ingest import load_dense_csv, load_sparse_dtm, read_key_values
 from .multiclass import predict_multiclass
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import TuningGrid, make_folds, misclassification_rate, tune_and_train
@@ -118,20 +119,22 @@ def _seed_int(master: int, *idx: int) -> int:
     return int(np.random.SeedSequence(_sub_seed(master, *idx)).generate_state(1)[0])
 
 
-def _tune_grid_for(config: ExperimentConfig, name: str, rep: int) -> TuningGrid:
+def classifier_grid(name: str, theta_grid, alpha_grid, folds: int, stratified: bool,
+                    seed: int) -> tuple[str, TuningGrid]:
+    """The learner of a classifier and the grid it is tuned on.
+
+    theta is fixed at 0.5 and alpha at 1.0 where the classifier's recipe
+    does not tune them.
+    """
     learner, tune_theta, tune_alpha = _RECIPES[name]
-    theta_grid = config.grid.theta_grid if tune_theta else (0.5,)
-    alpha_grid = config.grid.alpha_grid if tune_alpha else (1.0,)
-    return TuningGrid(
-        theta_grid, alpha_grid, config.grid.folds, config.grid.stratified,
-        seed=_seed_int(config.seed, rep, CLASSIFIERS.index(name)),
-    )
+    grid = TuningGrid(theta_grid if tune_theta else (0.5,),
+                      alpha_grid if tune_alpha else (1.0,), folds, stratified, seed)
+    return learner, grid
 
 
-def _fit_and_predict(train: Dataset, test_X, name: str, grid: TuningGrid,
-                     scaling, solver: SolverConfig) -> np.ndarray:
-    learner = _RECIPES[name][0]
-    model, _ = tune_and_train(train, grid, learner, solver, scaling)
+def _fit_and_predict(train: Dataset, test_X, learner: str, grid: TuningGrid,
+                     scaling) -> np.ndarray:
+    model, _ = tune_and_train(train, grid, learner, scaling)
     predict = predict_multiclass if model.kind == "multiclass-ridge" else predict_binary
     return predict(test_X, model)
 
@@ -145,15 +148,19 @@ def _sensitivities(pred, truth, class_ids) -> dict[int, float]:
 
 
 def _score_classifiers(config: ExperimentConfig, train: Dataset, test: Dataset,
-                       rep: int, fold: int | None, solver: SolverConfig):
+                       rep: int, fold: int | None):
     """Tune, predict and score each classifier: rows, sensitivities, failures."""
     where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
     task = rep if fold is None else rep * config.outer_folds + fold
     rows, sens, fails = [], [], []
+    g = config.grid
     for name in config.classifiers:
         try:
-            grid = _tune_grid_for(config, name, task)
-            pred = _fit_and_predict(train, test.X, name, grid, config.scaling, solver)
+            learner, grid = classifier_grid(
+                name, g.theta_grid, g.alpha_grid, g.folds, g.stratified,
+                _seed_int(config.seed, task, CLASSIFIERS.index(name)),
+            )
+            pred = _fit_and_predict(train, test.X, learner, grid, config.scaling)
             rows.append((config.label, name, rep, fold, misclassification_rate(pred, test.y)))
             if name == "eqc-multiclass":
                 sens.append((name, rep, _sensitivities(pred, test.y, train.class_ids)))
@@ -162,10 +169,10 @@ def _score_classifiers(config: ExperimentConfig, train: Dataset, test: Dataset,
     return rows, sens, fails
 
 
-def _scenario_replication(config: ExperimentConfig, rep: int, solver: SolverConfig):
+def _scenario_replication(config: ExperimentConfig, rep: int):
     spec = replace(config.scenario, seed=_sub_seed(config.seed, rep))
     data = generate(spec, config.test_size)
-    return _score_classifiers(config, data.train, data.test, rep, None, solver)
+    return _score_classifiers(config, data.train, data.test, rep, None)
 
 
 def _select_columns(train: Dataset, config: ExperimentConfig) -> np.ndarray | None:
@@ -174,14 +181,11 @@ def _select_columns(train: Dataset, config: ExperimentConfig) -> np.ndarray | No
     return None
 
 
-def _dataset_replication(config: ExperimentConfig, data: Dataset, rep: int,
-                         solver: SolverConfig, trace: list | None = None,
-                         folds: np.ndarray | None = None):
-    if folds is None:
-        folds = make_folds(
-            data.y, config.outer_folds, stratified=True,
-            seed=_seed_int(config.seed, rep),
-        )
+def _dataset_replication(config: ExperimentConfig, data: Dataset, rep: int):
+    folds = make_folds(
+        data.y, config.outer_folds, stratified=True,
+        seed=_seed_int(config.seed, rep),
+    )
     rows, sens, fails = [], [], []
     for f in range(config.outer_folds):
         tr = data.subset(folds != f)
@@ -190,11 +194,9 @@ def _dataset_replication(config: ExperimentConfig, data: Dataset, rep: int,
             fails.append(f"rep {rep} fold {f}: training part misses a class")
             continue
         cols = _select_columns(tr, config)
-        if trace is not None:
-            trace.append((rep, f, None if cols is None else cols.copy()))
         tr_f = tr if cols is None else Dataset(tr.X[:, cols], tr.y)
         te_f = te if cols is None else Dataset(te.X[:, cols], te.y)
-        scored = _score_classifiers(config, tr_f, te_f, rep, f, solver)
+        scored = _score_classifiers(config, tr_f, te_f, rep, f)
         for out, new in zip((rows, sens, fails), scored):
             out += new
     return rows, sens, fails
@@ -233,8 +235,7 @@ def summarize(rows) -> list[dict]:
     return out
 
 
-def run_experiment(config: ExperimentConfig,
-                   solver: SolverConfig = SolverConfig()) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications, write report CSVs, and return the summary.
 
     Replication failures are recorded and skipped; the run aborts if at
@@ -244,9 +245,9 @@ def run_experiment(config: ExperimentConfig,
     rows, sens_rows, failures = [], [], []
     for rep in range(config.replications):
         if config.scenario is not None:
-            r_rows, r_sens, r_fails = _scenario_replication(config, rep, solver)
+            r_rows, r_sens, r_fails = _scenario_replication(config, rep)
         else:
-            r_rows, r_sens, r_fails = _dataset_replication(config, data, rep, solver)
+            r_rows, r_sens, r_fails = _dataset_replication(config, data, rep)
         rows.extend(r_rows)
         sens_rows.extend(r_sens)
         failures.extend(r_fails)
@@ -339,16 +340,7 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
     [10], feature_selection = none | fisher [none], fisher_l [50]. Unknown
     keys are ignored. overrides, when given, replace file values.
     """
-    raw: dict[str, str] = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+    raw = read_key_values(path)
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
     return config_from_mapping(raw)

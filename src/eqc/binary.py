@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import Coefficients, PenaltySpec, SolverConfig, SolverReport, fit_path
+from .metalearners import Coefficients, SolverReport, fit_path
 from .quantiles import (
     QuantileParams,
     QuantileTable,
@@ -188,36 +188,34 @@ def predict_binary(x, model: FittedEqc):
 def fit_binary_eqc(
     train: Dataset,
     theta: QuantileParams,
-    learner: PenaltySpec | str,
-    config: SolverConfig = SolverConfig(),
+    learner: str,
+    alpha: float = np.nan,
     scaling: str | None = None,
 ) -> FittedEqc:
     """Estimate quantiles on train, transform, and fit the metalearner.
 
-    learner is a PenaltySpec (ridge / lasso / hinge) or one of the strings
-    'logistic' (unregularized logistic regression) and 'unit-weights'
-    (pure QC: intercept 0, weights 1, no solver). The fit is fit_path's,
-    so constant transformed columns get weight exactly 0. EMC is this with
-    theta fixed at 0.5 and a ridge penalty.
+    learner and alpha are fit_path's: 'ridge' or 'lasso' with the penalty
+    lambda, 'hinge' with the cost, or 'logistic' (unregularized logistic
+    regression) and 'unit-weights' (pure QC: intercept 0, weights 1, no
+    solver), which ignore alpha. Constant transformed columns get weight
+    exactly 0. EMC is this with theta fixed at 0.5 and a ridge penalty.
     """
     ids = train.class_ids
     if ids.size != 2:
         raise FitError(f"binary fit requires exactly 2 classes, got {ids.size}")
-    penalized = isinstance(learner, PenaltySpec)
-    kind, alpha = (learner.kind, learner.value) if penalized else (learner, np.nan)
     scaler = compute_scaling(train.X, scaling) if scaling is not None else None
     fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
     table = estimate_quantile_table(fit_data, theta)
 
     y12 = np.where(train.y == ids[0], 1, 2)
-    if kind == "unit-weights":
+    if learner == "unit-weights":
         Z = np.empty((0, train.p))  # QC's weights are fixed: only p is read
     else:
         if np.min(np.bincount(y12)[1:]) < 2:
             raise FitError("each class needs at least 2 observations")
         [Z] = class_transforms(train.X, table, scaler)
-    [(coef, report)] = fit_path(Z, y12, kind, [alpha], config)
-    return FittedEqc(theta, table, coef, kind, scaler, report)
+    [(coef, report)] = fit_path(Z, y12, learner, [alpha])
+    return FittedEqc(theta, table, coef, learner, scaler, report)
 
 
 def _loss_summands(model: FittedEqc, X: np.ndarray, y: np.ndarray) -> np.ndarray:

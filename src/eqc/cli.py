@@ -13,7 +13,9 @@ import sys
 
 import numpy as np
 
-from .bench import CLASSIFIERS, _RECIPES, _parse_grid_token, config_from_file, run_experiment
+from .bench import (
+    CLASSIFIERS, _parse_grid_token, classifier_grid, config_from_file, run_experiment,
+)
 from .binary import eqc_scores, labels_from_scores
 from .data import Dataset
 from .errors import EqcError
@@ -21,12 +23,7 @@ from .ingest import load_dense_csv, save_dense_csv
 from .modelio import load_model, save_model
 from .multiclass import probabilities_from_scores
 from .scenarios import FAMILIES, ScenarioSpec, generate
-from .selection import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_THETA_GRID,
-    TuningGrid,
-    tune_and_train,
-)
+from .selection import DEFAULT_ALPHA_GRID, DEFAULT_THETA_GRID, tune_and_train
 from .selftest import run_selftest
 
 
@@ -96,16 +93,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = load_dense_csv(args.data)
-    learner, tune_theta, tune_alpha = _RECIPES[args.classifier]
     theta_grid = (DEFAULT_THETA_GRID if args.theta_grid is None
                   else _parse_grid_token(args.theta_grid))
     alpha_grid = (DEFAULT_ALPHA_GRID if args.alpha_grid is None
                   else _parse_grid_token(args.alpha_grid))
-    grid = TuningGrid(
-        theta_grid if tune_theta else (0.5,),
-        alpha_grid if tune_alpha else (1.0,),
-        folds=args.folds, stratified=not args.no_stratify, seed=args.seed,
-    )
+    learner, grid = classifier_grid(args.classifier, theta_grid, alpha_grid,
+                                    args.folds, not args.no_stratify, args.seed)
     model, cv = tune_and_train(data, grid, learner, scaling=args.scaling)
     save_model(model, args.out)
     if args.cv_out:

@@ -44,12 +44,11 @@ def remove_low_frequency(dtm: SparseDtm, min_docs: int) -> tuple[SparseDtm, np.n
     return out, kept
 
 
-def fisher_exact_pvalue(a: int, b: int, c: int, d: int, two_sided: bool = True) -> float:
-    """Fisher exact p-value of the table [[a, b], [c, d]].
+def fisher_exact_pvalue(a: int, b: int, c: int, d: int) -> float:
+    """Two-sided Fisher exact p-value of the table [[a, b], [c, d]].
 
-    Two-sided uses the point-probability criterion: the sum of the
-    probabilities of all tables (same margins) no more likely than the
-    observed one. One-sided is the upper tail in a.
+    It uses the point-probability criterion: the sum of the probabilities
+    of all tables (same margins) no more likely than the observed one.
     """
     for v in (a, b, c, d):
         if v < 0 or v != int(v):
@@ -64,26 +63,18 @@ def fisher_exact_pvalue(a: int, b: int, c: int, d: int, two_sided: bool = True) 
     support = np.arange(lo, hi + 1)
     pmf = stats.hypergeom.pmf(support, n_total, col1, row1)
     p_obs = pmf[a - lo]
-    if not two_sided:
-        return float(min(1.0, pmf[support >= a].sum()))
     # relative gate absorbs log-gamma rounding in the pmf
     return float(min(1.0, pmf[pmf <= p_obs * (1.0 + 1e-9)].sum()))
 
 
-def fisher_exact_select(data, labels, L: int, two_sided: bool = True) -> np.ndarray:
+def fisher_exact_select(data: Dataset, labels, L: int) -> np.ndarray:
     """Indices of the L variables with the smallest Fisher exact p-values.
 
-    data is a Dataset, a SparseDtm, or a plain (n, p) matrix; variables
-    are binarized as presence (> 0). Requires binary labels. Ties in the
-    p-values break by variable index; L larger than p clamps with a
-    warning.
+    Variables of data are binarized as presence (> 0). Requires binary
+    labels. Ties in the p-values break by variable index; L larger than p
+    clamps with a warning.
     """
-    if isinstance(data, SparseDtm):
-        X = data.to_dense().X
-    elif isinstance(data, Dataset):
-        X = data.X
-    else:
-        X = np.asarray(data, dtype=float)
+    X = data.X
     y = np.asarray(labels)
     if y.shape != (X.shape[0],):
         raise DomainError("labels length does not match data")
@@ -106,6 +97,6 @@ def fisher_exact_select(data, labels, L: int, two_sided: bool = True) -> np.ndar
     for j in range(p):
         a = int(a_vec[j])
         c = int(c_vec[j])
-        pvals[j] = fisher_exact_pvalue(a, n1 - a, c, n2 - c, two_sided)
+        pvals[j] = fisher_exact_pvalue(a, n1 - a, c, n2 - c)
     order = np.argsort(pvals, kind="stable")
     return np.sort(order[:L])

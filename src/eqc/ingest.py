@@ -5,6 +5,7 @@ Dense datasets are CSV with a header whose first column is literally
 Sparse document-term matrices are line-oriented: a header line
 "n_docs n_terms n_entries" then one "doc term count" triple per line with
 1-based indices; labels live in a separate file, one integer per line.
+Experiment and model files are flat "key = value" lines.
 """
 
 from __future__ import annotations
@@ -66,6 +67,25 @@ class SparseDtm:
     def document_frequencies(self) -> np.ndarray:
         """Number of documents each term appears in."""
         return np.bincount(self.terms, minlength=self.n_terms)
+
+
+def read_key_values(path) -> dict[str, str]:
+    """Parse flat 'key = value' lines; blank lines and '#' lines are skipped.
+
+    Keys and values are stripped, and a later key replaces an earlier one.
+    A line without '=' raises a ParseError with its line number.
+    """
+    fields: dict[str, str] = {}
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError("expected 'key = value'", line=lineno)
+            key, value = line.split("=", 1)
+            fields[key.strip()] = value.strip()
+    return fields
 
 
 def load_dense_csv(path) -> Dataset:

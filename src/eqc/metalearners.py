@@ -27,6 +27,19 @@ from .quantiles import degenerate_columns
 
 VALID_PENALTIES = ("ridge", "lasso", "hinge")
 
+# Solver settings, deliberately strict; the solvers read them at call time.
+# TOL is the threshold on the minimum-norm subgradient norm for Newton
+# (ridge, logistic, EMC, multiclass-ridge and lasso; the gradient norm
+# without the lasso penalty) and the maximal KKT violation of the hinge
+# dual at which SMO stops. MAX_ITER bounds the Newton steps; on n
+# observations the hinge solver may make MAX_ITER * n pair updates.
+# ARMIJO (the sufficient-decrease fraction) and BACKTRACK (the step shrink
+# factor) set the Newton line search, the lasso's too; SMO ignores them.
+TOL = 1e-8
+MAX_ITER = 500
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -94,36 +107,16 @@ class SolverReport:
     coefficients: the penalized mean negative log-likelihood (Newton, every
     K, and lasso; binomial_loss at K = 2) or hinge_loss (hinge). iterations
     counts Newton steps (proximal Newton steps for the lasso) or hinge pair
-    updates; converged is True only when the stopping rule was met within
-    the budget. grad_norm_at_exit is the norm of the last minimum-norm
-    subgradient, the gradient itself without the lasso penalty (Newton and
-    lasso), or the duality gap in hinge_loss units (hinge).
+    updates; converged is True only when the stopping rule, at TOL, was met
+    within the MAX_ITER budget. grad_norm_at_exit is the norm of the last
+    minimum-norm subgradient, the gradient itself without the lasso penalty
+    (Newton and lasso), or the duality gap in hinge_loss units (hinge).
     """
 
     final_loss: float
     iterations: int
     converged: bool
     grad_norm_at_exit: float
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver tolerances; defaults are deliberately strict.
-
-    tol is the threshold on the minimum-norm subgradient norm for Newton
-    (ridge, logistic, EMC, multiclass-ridge and lasso; the gradient norm
-    without the lasso penalty) and the maximal KKT violation of the hinge
-    dual at which SMO stops. max_iter bounds the Newton steps; on n
-    observations the hinge solver may make max_iter * n pair updates.
-    armijo (the sufficient-decrease fraction) and backtrack (the step
-    shrink factor) set the Newton line search, the lasso's too; SMO
-    ignores them.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 500
-    armijo: float = 1e-4
-    backtrack: float = 0.5
 
 
 def _check_design(Z, y) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +205,7 @@ def _softmax_newton(
     Q: np.ndarray,
     Y: np.ndarray,
     lam: float,
-    config: SolverConfig,
     x0: np.ndarray | None = None,
-    trace: list | None = None,
     l1: float = 0.0,
 ) -> tuple[Coefficients, SolverReport]:
     """Damped Newton on the shared-weight softmax of _softmax_terms.
@@ -224,15 +215,14 @@ def _softmax_newton(
     falls back to the gradient when that gives no descent direction, and
     backtracks to the Armijo condition. With lam = 0 (plain logistic
     regression) separable data has no minimizer: the weights grow along a
-    separating direction until the gradient norm falls below tol, or until
-    max_iter is exhausted (converged=False).
+    separating direction until the gradient norm falls below TOL, or until
+    MAX_ITER steps are spent (converged=False).
 
     With l1 > 0 (the lasso, at lam = 0) the objective gains (l1/2)||w||_1
     and the loop is proximal Newton (Lee, Sun & Saunders, SIAM J. Optim.
     2014): _l1_newton_step minimizes the model, and the Armijo test runs on
     the penalized objective. The solve stops when the minimum-norm
-    subgradient (the gradient at l1 = 0) has norm below tol. trace, when
-    given, collects the objective after every accepted step.
+    subgradient (the gradient at l1 = 0) has norm below TOL.
     """
     m, _, p = Q.shape
     t = 0.5 * l1
@@ -243,19 +233,17 @@ def _softmax_newton(
     x = np.zeros(m + p) if x0 is None else x0.astype(float).copy()
     f, gradient, hessian = _softmax_terms(Q, Y, lam, x)
     f += penalty(x)
-    if trace is not None:
-        trace.append(f)
     grad_norm = np.inf
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         g = gradient()
         grad_norm = float(np.linalg.norm(_min_norm_subgradient(g, x, m, t) if l1 else g))
-        if grad_norm < config.tol:
+        if grad_norm < TOL:
             return _unpack(x, m), SolverReport(f, it, True, grad_norm)
         H = hessian()
         H.flat[:: m + p + 1] += 1e-12
         if l1:
-            d = _l1_newton_step(H, g, x, m, t, config)
+            d = _l1_newton_step(H, g, x, m, t)
             gd = g @ d + penalty(x + d) - penalty(x)
         else:
             try:
@@ -272,15 +260,13 @@ def _softmax_newton(
             x_new = x + step * d
             f_new, gradient_new, hessian_new = _softmax_terms(Q, Y, lam, x_new)
             f_new += penalty(x_new)
-            if f_new <= f + config.armijo * step * gd:
+            if f_new <= f + ARMIJO * step * gd:
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
             break
         x, f, gradient, hessian = x_new, f_new, gradient_new, hessian_new
-        if trace is not None:
-            trace.append(f)
     return _unpack(x, m), SolverReport(f, max(it, 1), False, grad_norm)
 
 
@@ -291,7 +277,7 @@ def _min_norm_subgradient(g, x, m, t):
     return np.concatenate((g[:m], np.where(w != 0.0, gw + t * np.sign(w), shrunk)))
 
 
-def _l1_newton_step(H, g, x, m, t, config):
+def _l1_newton_step(H, g, x, m, t):
     """Minimizer d of the model g.d + d'Hd/2 + t||w + d_w||_1, for z = x + d.
 
     Each round is one cyclic coordinate-descent sweep (exact in each
@@ -299,13 +285,13 @@ def _l1_newton_step(H, g, x, m, t, config):
     model over the orthant the sweep left, where it is quadratic: zero
     weights stay zero, the others keep their signs, and the step stops at
     the first weight that reaches zero, so no round raises the model. The
-    solve stops when a sweep moves no coordinate by tol or more, or after
-    max_iter rounds.
+    solve stops when a sweep moves no coordinate by TOL or more, or after
+    MAX_ITER rounds.
     """
     z = x.tolist()
     d = np.zeros(x.size)
     rows, gl, diag = list(H), g.tolist(), H.diagonal().tolist()
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         largest = 0.0
         for i in range(x.size):
             # g[i] + H[i] . d is the model's smooth slope in coordinate i
@@ -318,7 +304,7 @@ def _l1_newton_step(H, g, x, m, t, config):
                 z[i] = zi
                 d[i] += move
                 largest = max(largest, abs(move))
-        if largest < config.tol:
+        if largest < TOL:
             break
         zv = np.array(z)
         s = np.sign(zv)
@@ -339,7 +325,6 @@ def _fit_logistic_newton(
     Z: np.ndarray,
     y01: np.ndarray,
     lam: float,
-    config: SolverConfig,
     x0: np.ndarray | None = None,
 ) -> tuple[Coefficients, SolverReport]:
     """The Newton solver at K = 2: ridge on Z and y01 in {0, 1}; lam may be 0.
@@ -347,7 +332,7 @@ def _fit_logistic_newton(
     An entry of its own, apart from multiclass.fit_on_design, because the
     benchmark traces the two as separate layers.
     """
-    return _softmax_newton(Z[None], (1.0 - y01)[None], lam, config, x0)
+    return _softmax_newton(Z[None], (1.0 - y01)[None], lam, x0)
 
 
 def _unpack(x: np.ndarray, m: int = 1) -> Coefficients:
@@ -358,7 +343,6 @@ def _fit_lasso_prox(
     Z: np.ndarray,
     y01: np.ndarray,
     lam: float,
-    config: SolverConfig,
     x0: np.ndarray | None = None,
 ) -> tuple[Coefficients, SolverReport]:
     """The Newton solver at K = 2 with the lasso penalty (lam/2)||w||_1.
@@ -366,7 +350,7 @@ def _fit_lasso_prox(
     Named apart from _fit_logistic_newton because the benchmark traces the
     lasso solves as a layer of their own.
     """
-    return _softmax_newton(Z[None], (1.0 - y01)[None], 0.0, config, x0, l1=lam)
+    return _softmax_newton(Z[None], (1.0 - y01)[None], 0.0, x0, l1=lam)
 
 
 def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
@@ -388,9 +372,7 @@ def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
     )
 
 
-def fit_linear_svm(
-    Z, y, cost: float, config: SolverConfig = SolverConfig()
-) -> tuple[Coefficients, SolverReport]:
+def fit_linear_svm(Z, y, cost: float) -> tuple[Coefficients, SolverReport]:
     """Exact minimizer of hinge_loss: SMO on the dual of the C-SVM.
 
     n * cost * hinge_loss is the C-SVM primal 1/2 ||w||^2 + C sum_i xi_i
@@ -399,8 +381,8 @@ def fit_linear_svm(
     0 <= alpha <= C and s . alpha = 0 (s the margin labels), is solved by
     SMO pair updates (Platt 1998), each pair chosen by second-order
     working-set selection (Fan, Chen & Lin, JMLR 2005). The solve stops
-    when the maximal KKT violation m(alpha) - M(alpha) is at most
-    config.tol, within a budget of config.max_iter * n pair updates.
+    when the maximal KKT violation m(alpha) - M(alpha) is at most TOL,
+    within a budget of MAX_ITER * n pair updates.
     Then w = sum_i alpha_i s_i z_i, and the intercept is the midpoint of
     the exact minimizers of the primal given w, found by sorting the n
     hinge breakpoints. Deterministic: ties go to the lowest index.
@@ -436,14 +418,14 @@ def fit_linear_svm(
     off_low = np.where(pos, np.inf, 0.0)
     alpha = [0.0] * n
     is_pos = pos.tolist()
-    budget = config.max_iter * n
+    budget = MAX_ITER * n
     updates = 0
     converged = False
     while True:
         v_up = v + off_up
         i = int(v_up.argmax())
         rise = float(v_up[i]) - (v + off_low)  # m(alpha) - v_j on I_low
-        if rise.max() <= config.tol:  # m(alpha) - M(alpha)
+        if rise.max() <= TOL:  # m(alpha) - M(alpha)
             converged = True
             break
         if updates == budget:
@@ -480,10 +462,7 @@ def fit_linear_svm(
     return coef, SolverReport(primal, updates, converged, primal - dual)
 
 
-
-def fit_path(
-    Z, y, learner: str, alphas, config: SolverConfig = SolverConfig()
-) -> list[tuple[Coefficients, SolverReport | None]]:
+def fit_path(Z, y, learner: str, alphas) -> list[tuple[Coefficients, SolverReport | None]]:
     """Fit one learner at every alpha of a grid; the one fit for CV and refit.
 
     learner is 'ridge' or 'lasso' (alpha is the penalty lambda), 'hinge'
@@ -513,12 +492,12 @@ def fit_path(
     warm = None
     for a in np.argsort(alphas)[::-1]:
         if learner == "hinge":
-            coef, report = fit_linear_svm(Zs, y, alphas[a], config)
+            coef, report = fit_linear_svm(Zs, y, alphas[a])
         elif learner == "lasso":
-            coef, report = _fit_lasso_prox(Zs, y01, alphas[a], config, warm)
+            coef, report = _fit_lasso_prox(Zs, y01, alphas[a], warm)
         else:
             lam = 0.0 if learner == "logistic" else alphas[a]
-            coef, report = _fit_logistic_newton(Zs, y01, lam, config, warm)
+            coef, report = _fit_logistic_newton(Zs, y01, lam, warm)
         if learner in ("ridge", "lasso"):
             warm = np.concatenate((coef.intercepts, coef.weights))
         fits[a] = (_zero_filled(coef, keep), report)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .binary import FittedEqc, VariableScaling
 from .errors import ParseError
+from .ingest import read_key_values
 from .metalearners import Coefficients
 from .quantiles import QuantileParams, QuantileTable
 
@@ -48,16 +49,7 @@ def save_model(model: FittedEqc, path) -> None:
 
 
 def load_model(path) -> FittedEqc:
-    fields: dict[str, str] = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+    fields = read_key_values(path)
 
     def need(key: str) -> str:
         if key not in fields:

@@ -23,9 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import (
-    Coefficients, SolverConfig, SolverReport, _softmax_newton, _zero_filled,
-)
+from .metalearners import Coefficients, SolverReport, _softmax_newton, _zero_filled
 from .quantiles import QuantileParams, QuantileTable, degenerate_columns, estimate_quantile_table
 from .binary import (
     FittedEqc,
@@ -84,9 +82,7 @@ def build_design(data: Dataset, table: QuantileTable,
     return MulticlassDesign(class_transforms(data.X, table, scaling), positions)
 
 
-def fit_on_design(
-    design: MulticlassDesign, lam: float, config: SolverConfig = SolverConfig()
-) -> tuple[Coefficients, SolverReport]:
+def fit_on_design(design: MulticlassDesign, lam: float) -> tuple[Coefficients, SolverReport]:
     """Fit the softmax by the Newton solver of `metalearners`.
 
     The report holds the penalized mean negative log-likelihood. Columns
@@ -100,7 +96,7 @@ def fit_on_design(
         raise DomainError("lambda must be nonnegative")
     keep = ~np.all([degenerate_columns(Qk) for Qk in design.Q], axis=0)
     Y = (design.labels == np.arange(design.n_classes - 1)[:, None]).astype(float)
-    coef, report = _softmax_newton(design.Q[:, :, keep], Y, lam, config)
+    coef, report = _softmax_newton(design.Q[:, :, keep], Y, lam)
     return _zero_filled(coef, keep), report
 
 
@@ -108,7 +104,6 @@ def fit_multiclass_eqc(
     train: Dataset,
     theta: QuantileParams,
     lam: float,
-    config: SolverConfig = SolverConfig(),
     scaling: str | None = None,
 ) -> FittedEqc:
     """Estimate quantiles, assemble the design, and run the Newton fit."""
@@ -119,7 +114,7 @@ def fit_multiclass_eqc(
     fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
     table = estimate_quantile_table(fit_data, theta)
     design = build_design(train, table, scaler)
-    coef, report = fit_on_design(design, lam, config)
+    coef, report = fit_on_design(design, lam)
     return FittedEqc(theta, table, coef, "multiclass-ridge", scaler, report)
 
 

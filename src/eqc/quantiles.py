@@ -144,29 +144,21 @@ def _quantile_of_sorted(sorted_cols: np.ndarray, theta: np.ndarray) -> np.ndarra
     return a + frac * (sorted_cols[hi, cols] - a)
 
 
-def estimate_quantile_table(
-    data: Dataset, theta: QuantileParams, class_ids=None
-) -> QuantileTable:
+def estimate_quantile_table(data: Dataset, theta: QuantileParams) -> QuantileTable:
     """Per-class, per-variable empirical quantiles of a training set.
 
-    class_ids optionally fixes the expected classes (and the row order);
-    a listed class with zero observations raises a FitError naming it.
+    The rows follow data.class_ids, the classes present in data.
     """
     if theta.p != data.p:
         raise DomainError(
             f"theta has {theta.p} entries but data has {data.p} variables"
         )
-    if class_ids is None:
-        class_ids = data.class_ids
-    else:
-        class_ids = np.asarray(class_ids, dtype=int)
+    class_ids = data.class_ids
     if class_ids.size == 0:
         raise FitError("dataset has no observations")
     q = np.empty((class_ids.size, data.p))
     for i, k in enumerate(class_ids):
         rows = data.X[data.y == k]
-        if rows.shape[0] == 0:
-            raise FitError(f"class {k} has no observations")
         q[i] = _quantile_of_sorted(np.sort(rows, axis=0), theta.theta)
     return QuantileTable(q, theta, class_ids)
 

@@ -236,30 +236,3 @@ def random_correlation_matrix(p: int, beta_shape: float, seed) -> np.ndarray:
             S[k, i] = S[i, k] = rho
     return S
 
-
-def apply_gaussian_copula(uniforms: np.ndarray, correlation: np.ndarray,
-                          ppf=None) -> np.ndarray:
-    """Impose Gaussian-copula dependence on independent U(0,1) columns.
-
-    The uniforms are mapped to independent normals, correlated with the
-    Cholesky factor of the correlation matrix, and mapped back through
-    the normal CDF, preserving uniform marginals. ppf, when given, is a
-    callable (or one per column) applied last to impose target marginals.
-    """
-    U = np.asarray(uniforms, dtype=float)
-    if U.ndim != 2 or U.shape[1] != correlation.shape[0]:
-        raise DomainError("uniforms must be (n, p) matching the correlation")
-    if np.any(U <= 0) or np.any(U >= 1):
-        raise DomainError("uniforms must lie strictly in (0, 1)")
-    try:
-        L = np.linalg.cholesky(correlation)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("correlation matrix is not positive definite") from exc
-    Z = stats.norm.ppf(U) @ L.T
-    out = stats.norm.cdf(Z)
-    if ppf is None:
-        return out
-    if callable(ppf):
-        return ppf(out)
-    cols = [f(out[:, j]) for j, f in enumerate(ppf)]
-    return np.column_stack(cols)

@@ -18,7 +18,7 @@ import numpy as np
 from .binary import class_transforms, compute_scaling, fit_binary_eqc, labels_from_scores
 from .data import Dataset
 from .errors import DomainError, TuningError
-from .metalearners import PenaltySpec, SolverConfig, fit_path
+from .metalearners import fit_path
 from .multiclass import build_design, fit_multiclass_eqc, fit_on_design
 from .quantiles import QuantileParams, estimate_quantile_table
 
@@ -133,9 +133,7 @@ def misclassification_rate(predictions, truth) -> float:
     return float(np.mean(pred != tru))
 
 
-def _fold_errors(
-    tr: Dataset, te: Dataset, thetas, alphas, learner, config, scaling, fold_id, trace
-) -> np.ndarray:
+def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> np.ndarray:
     """Errors (H, A) for one fold; scaling and quantiles come from tr only.
 
     Per theta, both parts are turned into features once and the learner is
@@ -150,16 +148,14 @@ def _fold_errors(
         table = estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
         if learner == "multiclass-ridge":
             design = build_design(tr, table, scaler)
-            fits = [fit_on_design(design, al, config) for al in alphas]
+            fits = [fit_on_design(design, al) for al in alphas]
         else:
             [Z] = class_transforms(tr.X, table, scaler)
-            fits = fit_path(Z, y12, learner, alphas, config)
+            fits = fit_path(Z, y12, learner, alphas)
         Q_te = class_transforms(te.X, table, scaler)
         for a, (coef, _) in enumerate(fits):
             pred = labels_from_scores(coef.scores(Q_te), table.class_ids)
             errs[h, a] = misclassification_rate(pred, te.y)
-            if trace is not None:
-                trace.append((fold_id, th, alphas[a], coef))
     return errs
 
 
@@ -205,9 +201,7 @@ def tune_and_train(
     train: Dataset,
     grid: TuningGrid,
     learner: str,
-    config: SolverConfig = SolverConfig(),
     scaling: str | None = None,
-    trace: list | None = None,
 ):
     """Grid-tune (theta, alpha) by CV misclassification and refit on all data.
 
@@ -222,8 +216,8 @@ def tune_and_train(
     errors are equal up to rounding are tied, so the tie-break, not the
     summation order, decides; with unequal fold sizes an equal total
     error count is not a tie. Ties at the minimum prefer the stronger
-    regularization in both conventions, then theta nearest 0.5. trace,
-    when given, collects (fold, theta, alpha, coefficients) of every CV fit.
+    regularization in both conventions, then theta nearest 0.5. Every fit
+    runs the metalearners solvers at their module settings (TOL, MAX_ITER).
     """
     if learner not in LEARNERS:
         raise DomainError(f"unknown learner {learner!r}")
@@ -246,7 +240,7 @@ def tune_and_train(
         if set(int(k) for k in tr.class_ids) != all_ids:
             warnings.append(f"fold {t} training part misses a class; skipped")
             continue
-        per_fold[t] = _fold_errors(tr, te, thetas, alphas, learner, config, scaling, t, trace)
+        per_fold[t] = _fold_errors(tr, te, thetas, alphas, learner, scaling)
     if np.all(np.isnan(per_fold)):
         raise TuningError("no fold produced a usable score")
     with np.errstate(invalid="ignore"):
@@ -256,10 +250,9 @@ def tune_and_train(
 
     theta = QuantileParams.common(theta_hat, train.p)
     if multiclass:
-        model = fit_multiclass_eqc(train, theta, alpha_hat, config, scaling)
+        model = fit_multiclass_eqc(train, theta, alpha_hat, scaling)
     else:
-        spec = learner if learner in _ALPHA_FREE else PenaltySpec(learner, alpha_hat)
-        model = fit_binary_eqc(train, theta, spec, config, scaling)
+        model = fit_binary_eqc(train, theta, learner, alpha_hat, scaling)
     result = CvResult(
         np.asarray(thetas), np.asarray(alphas), table, per_fold,
         (theta_hat, alpha_hat), warnings,

@@ -8,6 +8,7 @@ from eqc import (
     ScenarioSpec,
     TuningGrid,
     config_from_file,
+    fisher_exact_select,
     run_experiment,
     save_dense_csv,
 )
@@ -139,11 +140,10 @@ class TestDatasetMode:
         folds = {r[3] for r in report.rows}
         assert folds == set(range(5))
 
-    def test_fisher_selection_inside_folds_only(self, tmp_path):
+    def test_fisher_selection_inside_folds_only(self, monkeypatch):
         # metamorphic check: with the partition pinned, corrupting the
         # held-out fold's labels must not change which variables that
         # fold's training part selects
-        from eqc import SolverConfig
         from eqc.selection import make_folds
 
         rng = _rng(7)
@@ -163,18 +163,29 @@ class TestDatasetMode:
             out_dir="",
         )
         folds = make_folds(y, 4, True, seed=123)
-        trace_a: list = []
-        _dataset_replication(config, Dataset(X, y), 0, SolverConfig(),
-                             trace_a, folds=folds)
         y_bad = y.copy()
         y_bad[folds == 2] = 3 - y_bad[folds == 2]
-        trace_b: list = []
-        _dataset_replication(config, Dataset(X, y_bad), 0, SolverConfig(),
-                             trace_b, folds=folds)
-        sel_a = next(np.asarray(t[2]) for t in trace_a if t[1] == 2)
-        sel_b = next(np.asarray(t[2]) for t in trace_b if t[1] == 2)
+        # one selection per outer fold, in fold order
+        sel_a = _outer_selections(monkeypatch, config, Dataset(X, y), folds)[2]
+        sel_b = _outer_selections(monkeypatch, config, Dataset(X, y_bad), folds)[2]
         assert sel_a.size == sel_b.size == 4
         assert np.array_equal(sel_a, sel_b)
+
+
+def _outer_selections(monkeypatch, config, data, folds):
+    """Fisher selections of one dataset replication on the given outer folds."""
+    selections = []
+
+    def recording(*args):
+        selections.append(fisher_exact_select(*args))
+        return selections[-1]
+
+    monkeypatch.setattr("eqc.bench.make_folds", lambda *args, **kwargs: folds)
+    monkeypatch.setattr("eqc.bench.fisher_exact_select", recording)
+    _dataset_replication(config, data, 0)
+    monkeypatch.undo()
+    assert len(selections) == config.outer_folds
+    return selections
 
 
 class TestMulticlassReporting:

@@ -12,7 +12,6 @@ from eqc import (
     PenaltySpec,
     QuantileParams,
     QuantileTable,
-    SolverConfig,
     binomial_loss,
     empirical_loss,
     eqc_discriminant,
@@ -111,7 +110,7 @@ class TestFit:
         y = np.repeat([1, 2], 20)
         X[y == 2, 0] += 2.0
         model = fit_binary_eqc(
-            Dataset(X, y), QuantileParams.common(0.5, 3), PenaltySpec("ridge", 0.1)
+            Dataset(X, y), QuantileParams.common(0.5, 3), "ridge", 0.1
         )
         assert model.coef.weights[1] == 0.0
         assert model.coef.weights[0] != 0.0
@@ -122,7 +121,7 @@ class TestFit:
         X = np.vstack([A, -A])
         y = np.repeat([1, 2], 30)
         model = fit_binary_eqc(
-            Dataset(X, y), QuantileParams.common(0.5, 4), PenaltySpec("ridge", 0.05)
+            Dataset(X, y), QuantileParams.common(0.5, 4), "ridge", 0.05
         )
         assert abs(model.coef.intercepts[0]) < 1e-6
 
@@ -136,7 +135,7 @@ class TestFit:
 
             data = generate(spec, 10).train
             theta = QuantileParams.common(0.3, 10)
-            eqc = fit_binary_eqc(data, theta, PenaltySpec("ridge", 1e-4))
+            eqc = fit_binary_eqc(data, theta, "ridge", 1e-4)
             qc = fit_binary_eqc(data, theta, "unit-weights")
             e_eqc = np.mean(predict_binary(data.X, eqc) != data.y)
             e_qc = np.mean(predict_binary(data.X, qc) != data.y)
@@ -149,10 +148,10 @@ class TestFit:
         y = np.repeat([1, 2], 30)
         X[y == 2] += 0.8
         theta = QuantileParams.common(0.3, 3)
-        base = fit_binary_eqc(Dataset(X, y), theta, PenaltySpec("ridge", 0.1))
+        base = fit_binary_eqc(Dataset(X, y), theta, "ridge", 0.1)
         shifted = X.copy()
         shifted[:, 1] += 123.0
-        moved = fit_binary_eqc(Dataset(shifted, y), theta, PenaltySpec("ridge", 0.1))
+        moved = fit_binary_eqc(Dataset(shifted, y), theta, "ridge", 0.1)
         pts = rng.standard_normal((50, 3))
         pts_shift = pts.copy()
         pts_shift[:, 1] += 123.0
@@ -167,7 +166,7 @@ class TestFit:
             fit_binary_eqc(
                 Dataset(np.zeros((4, 1)), [1, 1, 1, 1]),
                 QuantileParams.common(0.5, 1),
-                PenaltySpec("ridge", 1.0),
+                "ridge", 1.0,
             )
 
     def test_scaling_recorded_and_applied(self):
@@ -177,7 +176,7 @@ class TestFit:
         X[y == 2] += np.array([0.5, 25.0])
         model = fit_binary_eqc(
             Dataset(X, y), QuantileParams.common(0.5, 2),
-            PenaltySpec("ridge", 0.1), scaling="sd",
+            "ridge", 0.1, scaling="sd",
         )
         assert model.scaling is not None
         assert np.all(model.scaling.scale > 0)
@@ -199,7 +198,7 @@ class TestLosses:
         X[y == 2] += 1.0
         data = Dataset(X, y)
         model = fit_binary_eqc(
-            data, QuantileParams.common(0.5, 3), PenaltySpec("ridge", 1e-6)
+            data, QuantileParams.common(0.5, 3), "ridge", 1e-6
         )
         assert empirical_loss(model, data) <= math.log(2.0) + 1e-6
 
@@ -209,7 +208,7 @@ class TestLosses:
         y = np.repeat([1, 2], 15)
         data = Dataset(X, y)
         theta = QuantileParams.common(0.4, 2)
-        model = fit_binary_eqc(data, theta, PenaltySpec("ridge", 0.3))
+        model = fit_binary_eqc(data, theta, "ridge", 0.3)
         [Z] = class_transforms(data.X, model.table, model.scaling)
         lam = 0.3
         with_pen = binomial_loss(model.coef, PenaltySpec("ridge", lam), Z, y)
@@ -259,7 +258,7 @@ class TestModelIo:
         X[y == 2] += 0.6
         model = fit_binary_eqc(
             Dataset(X, y), QuantileParams.common(0.45, 5),
-            PenaltySpec("lasso", 0.02), scaling="mad",
+            "lasso", 0.02, scaling="mad",
         )
         path = tmp_path / "model.txt"
         save_model(model, path)

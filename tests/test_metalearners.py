@@ -11,13 +11,13 @@ from eqc import (
     PenaltySpec,
     QuantileParams,
     ScenarioSpec,
-    SolverConfig,
     binomial_loss,
     estimate_quantile_table,
     fit_linear_svm,
     generate,
     hinge_loss,
 )
+from eqc import metalearners
 from eqc.binary import class_transforms
 from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
 
@@ -34,6 +34,18 @@ def binomial_gradient(coef, penalty, Z, y):
     g[0] = r.mean()
     g[1:] = Z.T @ r / Z.shape[0] + penalty.value * coef.weights
     return g
+
+
+def _objective_per_budget(monkeypatch, solve):
+    """final_loss of solve() at Newton budgets 1, 2, ... up to convergence:
+    the objective after each accepted step."""
+    _, full = solve()
+    losses = []
+    for budget in range(1, full.iterations):
+        monkeypatch.setattr(metalearners, "MAX_ITER", budget)
+        losses.append(solve()[1].final_loss)
+    monkeypatch.undo()
+    return losses
 
 
 def _naive_binomial(coef, lam, Z, y, kind):
@@ -123,13 +135,15 @@ class TestRidgeNewton:
         [(coef, report)] = fit_path(Z, y, "ridge", [pen.value])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
+        # every point of the 41^3 grid at once; the best is re-scored below
         grid = np.linspace(-3, 3, 41)
-        best = np.inf
-        for b0 in grid:
-            for b1 in grid:
-                for b2 in grid:
-                    cand = Coefficients(b0, np.array([b1, b2]))
-                    best = min(best, binomial_loss(cand, pen, Z, y))
+        b0, b1, b2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+        W = np.column_stack((b1, b2))
+        c = b0[:, None] + W @ Z.T
+        losses = (np.mean(np.logaddexp(0.0, c) - (y - 1) * c, axis=1)
+                  + 0.5 * pen.value * np.sum(W * W, axis=1))
+        i = int(losses.argmin())
+        best = binomial_loss(Coefficients(b0[i], W[i]), pen, Z, y)
         assert ours <= best + 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -150,18 +164,18 @@ class TestRidgeNewton:
             fd = (f_hi - f_lo) / (2 * eps)
             assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
-    def test_monotone_loss_trace(self):
+    def test_monotone_loss_trace(self, monkeypatch):
         rng = _rng(23)
         Z = rng.standard_normal((40, 3))
         y = np.where(Z @ np.array([1.0, -0.5, 0.2]) > 0, 2, 1)
         y[:2] = [1, 2]
-        # ridge, and the lasso (l1 > 0), whose trace is the penalized objective
+        # ridge, and the lasso (l1 > 0), whose objective is the penalized one
         for lam, l1 in ((0.05, 0.0), (0.0, 0.05)):
-            trace: list = []
-            _softmax_newton(Z[None], (y == 1)[None].astype(float), lam, SolverConfig(),
-                            trace=trace, l1=l1)
-            assert len(trace) >= 2
-            diffs = np.diff(np.asarray(trace))
+            losses = _objective_per_budget(
+                monkeypatch, lambda: _softmax_newton(
+                    Z[None], (y == 1)[None].astype(float), lam, l1=l1))
+            assert len(losses) >= 2
+            diffs = np.diff(np.asarray(losses))
             assert np.all(diffs <= 1e-12)
 
     def test_doubling_lambda_shrinks_weights(self):
@@ -176,14 +190,15 @@ class TestRidgeNewton:
         # heavier penalty never grows the optimum's weight norm
         assert np.all(np.diff(norms) <= 1e-8)
 
-    def test_nonconvergence_reports_not_raises(self):
+    def test_nonconvergence_reports_not_raises(self, monkeypatch):
         rng = _rng(67)
         Z = rng.standard_normal((30, 3))
         y = np.where(Z[:, 0] > 0, 2, 1)
         y[:2] = [1, 2]
         # a one-step budget cannot reach the 1e-8 (sub)gradient tolerance
+        monkeypatch.setattr(metalearners, "MAX_ITER", 1)
         for kind in ("ridge", "lasso"):
-            [(coef, report)] = fit_path(Z, y, kind, [0.01], SolverConfig(max_iter=1))
+            [(coef, report)] = fit_path(Z, y, kind, [0.01])
             assert not report.converged
             assert np.isfinite(coef.weights).all()
             assert report.iterations == 1
@@ -197,7 +212,7 @@ class TestSigmoidOverflow:
         y = np.array([1, 1, 2, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, SolverConfig())
+            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0)
             [(ridge, _)] = fit_path(Z, y, "ridge", [1e-12])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), PenaltySpec("ridge", 1.0), Z, y
@@ -286,7 +301,7 @@ class TestLassoProx:
         y = np.where(Z @ beta_true + 0.3 * rng.standard_normal(60) > 0, 2, 1)
         y[:2] = [1, 2]
         lam = 0.05
-        [(coef, report)] = fit_path(Z, y, "lasso", [lam], SolverConfig(max_iter=5000))
+        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
         y01 = (y - 1).astype(float)
         c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
@@ -304,7 +319,7 @@ class TestLassoProx:
         beta_true = np.zeros(8)
         beta_true[:2] = [3.0, -3.0]
         y = np.where(Z @ beta_true > 0, 2, 1)
-        [(coef, _)] = fit_path(Z, y, "lasso", [0.1], SolverConfig(max_iter=3000))
+        [(coef, _)] = fit_path(Z, y, "lasso", [0.1])
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
 
@@ -378,12 +393,15 @@ class TestSvmSolver:
         cost = 2.0
         coef, report = fit_linear_svm(Z, y, cost)
         ours = hinge_loss(coef, cost, Z, y)
+        # every point of the 301^2 grid at once; the best is re-scored below
         grid = np.linspace(-3, 3, 301)
-        best = np.inf
-        for b0 in grid:
-            for b1 in grid:
-                cand = Coefficients(b0, np.array([b1]))
-                best = min(best, hinge_loss(cand, cost, Z, y))
+        b0, b1 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        s = 2.0 * (y - 1.0) - 1.0
+        margins = s * (b0[:, None] + b1[:, None] * Z[:, 0])
+        losses = (np.mean(np.maximum(0.0, 1.0 - margins), axis=1)
+                  + b1**2 / (2.0 * len(y) * cost))
+        i = int(losses.argmin())
+        best = hinge_loss(Coefficients(b0[i], np.array([b1[i]])), cost, Z, y)
         assert ours <= best + 1e-3
 
     def test_not_above_slsqp_referee(self):
@@ -423,17 +441,19 @@ class TestSvmSolver:
             # grad_norm_at_exit is the duality gap in hinge_loss units
             assert -1e-12 <= report.grad_norm_at_exit <= 1e-8
 
-    def test_budget_exhausted_reports_not_converged(self):
+    def test_budget_exhausted_reports_not_converged(self, monkeypatch):
         rng = _rng(73)
         Z = rng.standard_normal((20, 2))
         y = np.where(Z[:, 0] + rng.standard_normal(20) > 0, 2, 1)
         y[:2] = [1, 2]
-        # max_iter * n = 20 pair updates cannot reach the 1e-8 KKT tolerance
-        coef, report = fit_linear_svm(Z, y, 50.0, SolverConfig(max_iter=1))
+        # MAX_ITER * n = 20 pair updates cannot reach the 1e-8 KKT tolerance
+        monkeypatch.setattr(metalearners, "MAX_ITER", 1)
+        coef, report = fit_linear_svm(Z, y, 50.0)
         assert not report.converged
         assert report.iterations == 20
         assert report.final_loss == hinge_loss(coef, 50.0, Z, y)
         assert report.grad_norm_at_exit > 1e-8
+        monkeypatch.undo()
         _, full = fit_linear_svm(Z, y, 50.0)
         assert full.converged
         assert full.final_loss < report.final_loss

@@ -17,7 +17,8 @@ from eqc import (
     fit_multiclass_eqc,
     predict_multiclass,
 )
-from eqc.metalearners import SolverConfig, _softmax_newton, _softmax_terms, fit_path
+from eqc import metalearners
+from eqc.metalearners import _softmax_newton, _softmax_terms, fit_path
 from eqc.multiclass import fit_on_design
 
 
@@ -382,12 +383,16 @@ class TestHessian:
 
 
 class TestFit:
-    def test_objective_trace_monotone(self):
+    def test_objective_trace_monotone(self, monkeypatch):
+        # the final loss at budgets 1, 2, ... is the objective after each step
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
-        trace: list = []
-        _softmax_newton(design.Q, _indicators(design), 0.05, SolverConfig(), trace=trace)
-        assert len(trace) >= 2
-        assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
+        _, full = _softmax_newton(design.Q, _indicators(design), 0.05)
+        losses = []
+        for budget in range(1, full.iterations):
+            monkeypatch.setattr(metalearners, "MAX_ITER", budget)
+            losses.append(_softmax_newton(design.Q, _indicators(design), 0.05)[1].final_loss)
+        assert len(losses) >= 2
+        assert np.all(np.diff(np.asarray(losses)) <= 1e-12)
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_final_loss_is_penalized_negative_loglik(self, K):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from eqc import (
     Dataset,
     DomainError,
-    FitError,
     QuantileParams,
     QuantileTable,
     empirical_quantile,
@@ -114,11 +113,6 @@ class TestQuantileTable:
             for j in range(4):
                 expect = empirical_quantile(X[y == k, j], 0.3)
                 assert table.q[i, j] == pytest.approx(expect, abs=1e-14)
-
-    def test_empty_class_named_in_error(self):
-        data = Dataset(np.zeros((3, 2)), [1, 1, 1])
-        with pytest.raises(FitError, match="class 2"):
-            estimate_quantile_table(data, QuantileParams.common(0.5, 2), class_ids=[1, 2])
 
     def test_dimension_mismatch(self):
         data = Dataset(np.zeros((4, 2)), [1, 1, 2, 2])

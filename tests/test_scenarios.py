@@ -7,7 +7,6 @@ from scipy import stats
 from eqc import (
     DomainError,
     ScenarioSpec,
-    apply_gaussian_copula,
     generate,
     random_correlation_matrix,
     sample_base_variable,
@@ -174,50 +173,36 @@ class TestCorrelationMatrix:
 
 
 class TestCopula:
-    def test_identity_correlation_preserves_independence(self):
-        rng = _rng(11)
-        U = rng.random((10**4, 2))
-        out = apply_gaussian_copula(U, np.eye(2))
-        for j in range(2):
-            _, p = stats.ks_2samp(out[:, j], rng.random(10**4))
-            assert p > 0.01
-
     def test_marginals_preserved_under_dependence(self):
-        rng = _rng(12)
-        U = rng.random((10**4, 2))
-        C = np.array([[1.0, 0.7], [0.7, 1.0]])
-        out = apply_gaussian_copula(U, C)
-        for j in range(2):
-            _, p = stats.kstest(out[:, j], "uniform")
+        # the copula leaves every marginal standardized t3: t_3 / sqrt(3)
+        spec = ScenarioSpec("t3", 20000, 3, seed=12, dependent=True)
+        data = generate(spec, 2).train
+        for j in range(3):
+            col = data.X[data.y == 1, j]
+            _, p = stats.kstest(col, lambda x: stats.t.cdf(math.sqrt(3.0) * x, df=3))
             assert p > 0.01
 
     def test_lognormal_marginal_after_copula(self):
-        rng = _rng(13)
-        U = rng.random((10**4, 2))
-        C = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out = apply_gaussian_copula(U, C, ppf=[
-            lambda u: np.exp(stats.norm.ppf(u)),
-            lambda u: np.exp(stats.norm.ppf(u)),
-        ])
-        ref = np.exp(rng.standard_normal(10**4))
-        _, p = stats.ks_2samp(out[:, 0], ref)
+        # standardized exp(W): (exp(W) - e^0.5) / sqrt((e - 1) e)
+        mean, sd = math.exp(0.5), math.sqrt((math.e - 1.0) * math.e)
+        spec = ScenarioSpec("lognormal", 20000, 2, seed=13, dependent=True)
+        data = generate(spec, 2).train
+        col = data.X[data.y == 1, 0]
+        _, p = stats.kstest(col, lambda x: stats.norm.cdf(np.log(sd * x + mean)))
         assert p > 0.01
 
     def test_spearman_identity(self):
-        rho = 0.6
-        rng = _rng(14)
-        U = rng.random((2 * 10**4, 2))
-        C = np.array([[1.0, rho], [rho, 1.0]])
-        out = apply_gaussian_copula(U, C)
-        got = stats.spearmanr(out[:, 0], out[:, 1]).statistic
-        expect = 6.0 / math.pi * math.asin(rho / 2.0)
-        assert got == pytest.approx(expect, abs=0.02)
-
-    def test_not_positive_definite_rejected(self):
-        U = _rng(15).random((10, 2))
-        bad = np.array([[1.0, 1.2], [1.2, 1.0]])
-        with pytest.raises(DomainError):
-            apply_gaussian_copula(U, bad)
+        # the copula acts on the normals before the monotone marginal
+        # transforms, so within a class Spearman's rho of columns i, j is
+        # that of the normals: (6/pi) asin(C_ij / 2)
+        for family in ("t3", "lognormal"):
+            spec = ScenarioSpec(family, 40000, 4, seed=14, dependent=True)
+            data = generate(spec, 2).train
+            C = spec._correlation()
+            rho = stats.spearmanr(data.X[data.y == 1]).statistic
+            for i, j in zip(*np.triu_indices(4, 1)):
+                expect = 6.0 / math.pi * math.asin(C[i, j] / 2.0)
+                assert rho[i, j] == pytest.approx(expect, abs=0.02)
 
     def test_dependent_generation_keeps_marginals(self):
         ind = ScenarioSpec("lognormal", 20000, 3, seed=16, dependent=False)

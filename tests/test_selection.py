@@ -6,7 +6,6 @@ import pytest
 from eqc import (
     Dataset,
     DomainError,
-    PenaltySpec,
     QuantileParams,
     ScenarioSpec,
     TuningGrid,
@@ -19,6 +18,7 @@ from eqc import (
     predict_multiclass,
     tune_and_train,
 )
+from eqc.metalearners import fit_path
 from eqc.scenarios import generate
 from eqc.selection import _choose_cell
 
@@ -89,13 +89,27 @@ def _toy_binary(seed=0, n=60, p=3, shift=1.0):
     return Dataset(X, y)
 
 
+def _cv_fits(monkeypatch, data, grid):
+    """The fits of every fit_path call one ridge tune_and_train makes in CV."""
+    calls = []
+
+    def recording(*args):
+        calls.append(fit_path(*args))
+        return calls[-1]
+
+    monkeypatch.setattr("eqc.selection.fit_path", recording)
+    tune_and_train(data, grid, "ridge")
+    monkeypatch.undo()
+    return calls
+
+
 class TestTuneAndTrain:
     def test_single_cell_equals_direct_fit(self):
         data = _toy_binary(1)
         grid = TuningGrid((0.4,), (0.3,), folds=3, seed=2)
         model, cv = tune_and_train(data, grid, "ridge")
         direct = fit_binary_eqc(
-            data, QuantileParams.common(0.4, 3), PenaltySpec("ridge", 0.3)
+            data, QuantileParams.common(0.4, 3), "ridge", 0.3
         )
         assert cv.table.shape == (1, 1)
         assert model.coef.intercepts[0] == direct.coef.intercepts[0]
@@ -135,26 +149,24 @@ class TestTuneAndTrain:
         assert hits >= 12  # >= 60% of seeds
         assert abs(np.mean(chosen) - 0.5) <= 0.04
 
-    def test_heldout_label_corruption_leaves_fold_models_alone(self):
+    def test_heldout_label_corruption_leaves_fold_models_alone(self, monkeypatch):
         # models inside fold t are fit on S minus S_t; flipping the held-out
         # fold's labels must not change them (unstratified folds so the
         # partition itself does not depend on the corrupted labels)
         data = _toy_binary(5, n=40)
         grid = TuningGrid((0.3, 0.6), (0.5,), folds=2, stratified=False, seed=4)
-        trace_a: list = []
-        tune_and_train(data, grid, "ridge", trace=trace_a)
         fold = make_folds(data.y, 2, False, 4)
         y_bad = data.y.copy()
         y_bad[fold == 1] = 3 - y_bad[fold == 1]
-        trace_b: list = []
-        tune_and_train(Dataset(data.X, y_bad), grid, "ridge", trace=trace_b)
-        recs_a = [r for r in trace_a if r[0] == 1]
-        recs_b = [r for r in trace_b if r[0] == 1]
-        assert len(recs_a) == len(recs_b) > 0
-        for ra, rb in zip(recs_a, recs_b):
-            assert ra[1] == rb[1]  # theta
-            assert ra[3].intercepts[0] == rb[3].intercepts[0]
-            assert np.array_equal(ra[3].weights, rb[3].weights)
+        # CV calls fit_path once per (fold, theta), fold by fold; the
+        # refit goes through eqc.binary's fit_path and is not recorded
+        recs_a = _cv_fits(monkeypatch, data, grid)[2:]
+        recs_b = _cv_fits(monkeypatch, Dataset(data.X, y_bad), grid)[2:]
+        assert len(recs_a) == len(recs_b) == 2  # fold 1, both thetas
+        for fa, fb in zip(recs_a, recs_b):
+            [(ca, _)], [(cb, _)] = fa, fb
+            assert ca.intercepts[0] == cb.intercepts[0]
+            assert np.array_equal(ca.weights, cb.weights)
 
     def test_missing_class_fold_skipped_with_warning(self):
         # both class-2 members sit in fold 0 (seed picked for that), so
@@ -255,8 +267,9 @@ class TestFittedModelPredictsAsScored:
             model = fit_multiclass_eqc(tr, theta, alphas[a], scaling=scaling)
             pred = predict_multiclass(te.X, model)
         else:
-            spec = learner if alpha_free else PenaltySpec(learner, alphas[a])
-            pred = predict_binary(te.X, fit_binary_eqc(tr, theta, spec, scaling=scaling))
+            alpha = np.nan if alpha_free else alphas[a]
+            model = fit_binary_eqc(tr, theta, learner, alpha, scaling=scaling)
+            pred = predict_binary(te.X, model)
         assert misclassification_rate(pred, te.y) == cv.per_fold[t, h, a]
 
     def test_constant_columns_score_as_refit_on_ties(self):
@@ -271,7 +284,7 @@ class TestFittedModelPredictsAsScored:
         _, cv = tune_and_train(data, TuningGrid((0.3,), (1.0,), folds=3, seed=5), "hinge")
         folds = make_folds(y, 3, True, 5)
         tr, te = data.subset(folds != 2), data.subset(folds == 2)
-        model = fit_binary_eqc(tr, QuantileParams.common(0.3, 12), PenaltySpec("hinge", 1.0))
+        model = fit_binary_eqc(tr, QuantileParams.common(0.3, 12), "hinge", 1.0)
         assert misclassification_rate(predict_binary(te.X, model), te.y) == cv.per_fold[2, 0, 0]
 
 
