@@ -5,9 +5,6 @@ scale and skewness per coordinate, the Bayes decision boundary is linear
 in quantile-difference features, so a classifier with the closed-form
 coefficients below is exactly Bayes optimal. That makes this module the
 correctness oracle for the fitted classifiers.
-
-Sampling is inverse-CDF driven by numpy's PCG64 generator (seeded,
-portable across platforms).
 """
 
 from __future__ import annotations
@@ -77,49 +74,6 @@ class ALPopulation:
     @property
     def p(self) -> int:
         return len(self.class1)
-
-    def sample_labeled(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n labeled observations from the prior mixture."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        y = np.where(rng.random(n) < self.priors[0], 1, 2)
-        X = np.empty((n, self.p))
-        for j in range(self.p):
-            u = rng.random(n)
-            X[:, j] = np.where(
-                y == 1,
-                _inverse_cdf(u, self.class1[j]),
-                _inverse_cdf(u, self.class2[j]),
-            )
-        return X, y
-
-
-def al_pdf(x, params: ALParams):
-    """Density of the asymmetric Laplace distribution."""
-    x = np.asarray(x, dtype=float)
-    lam, kap, m = params.lam, params.kappa, params.m
-    front = lam / (kap + 1.0 / kap)
-    out = front * np.where(
-        x < m,
-        np.exp((lam / kap) * (x - m)),
-        np.exp(-lam * kap * (x - m)),
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def _inverse_cdf(u: np.ndarray, params: ALParams) -> np.ndarray:
-    th = params.theta
-    lam, kap, m = params.lam, params.kappa, params.m
-    lower = m + (kap / lam) * np.log(np.maximum(u, 1e-300) / th)
-    upper = m - np.log(np.maximum(1.0 - u, 1e-300) / (1.0 - th)) / (lam * kap)
-    return np.where(u < th, lower, upper)
-
-
-def al_sample(params: ALParams, n: int, seed) -> np.ndarray:
-    """n inverse-CDF draws, deterministic for a given seed (PCG64)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _inverse_cdf(rng.random(n), params)
 
 
 def _s_al(x, m1: float, m2: float, kappa: float):

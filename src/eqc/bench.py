@@ -315,10 +315,12 @@ def _summarize_sensitivities(sens_rows, summary) -> list[dict]:
 
 
 def _parse_grid_token(token: str) -> tuple:
+    """A comma list, range:lo:hi:n (n evenly spaced, rounded to 12 decimals so
+    that 0.5 is 0.5) or logrange:lo:hi:n (n log-spaced)."""
     token = token.strip()
     if token.startswith("range:"):
         _, lo, hi, num = token.split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(num)))
+        return tuple(np.round(np.linspace(float(lo), float(hi), int(num)), 12))
     if token.startswith("logrange:"):
         _, lo, hi, num = token.split(":")
         return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num)))
@@ -331,14 +333,15 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
     Keys, defaults in brackets: mode = scenario | dense | dtm [scenario];
     classifiers, a comma list of CLASSIFIERS [qc]; replications [1]; seed
     [0]; out, the output directory [.]; scaling = none | sd | mad [none];
-    theta_grid [range:0.05:0.95:19] and alpha_grid [logrange:1e-4:1e2:15],
-    each a comma list, range:lo:hi:n or logrange:lo:hi:n; folds [5];
-    stratified [1]. Scenario mode: family [t3], n_train [100], p [50],
-    noise_fraction [0], delta [family default], dependent [0], test_size
-    [5000]. Dense mode: dataset, a CSV path. Dtm mode: dtm and labels, the
-    triple and label files; min_docs [0]. Both data modes: outer_folds
-    [10], feature_selection = none | fisher [none], fisher_l [50]. Unknown
-    keys are ignored. overrides, when given, replace file values.
+    theta_grid and alpha_grid, each a comma list, range:lo:hi:n or
+    logrange:lo:hi:n [TuningGrid's: 0.05, 0.10, ..., 0.95 and 15 log-spaced
+    values 1e-4..1e2]; folds [5]; stratified [1]. Scenario mode: family
+    [t3], n_train [100], p [50], noise_fraction [0], delta [family default],
+    dependent [0], test_size [5000]. Dense mode: dataset, a CSV path. Dtm
+    mode: dtm and labels, the triple and label files; min_docs [0]. Both
+    data modes: outer_folds [10], feature_selection = none | fisher [none],
+    fisher_l [50]. Unknown keys are ignored. overrides, when given, replace
+    file values.
     """
     raw = read_key_values(path)
     if overrides:
@@ -346,63 +349,62 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    def get(key, default=None):
-        return raw.get(key, default)
+def _flag(value: str) -> bool:
+    return bool(int(value))
 
-    grid = TuningGrid(
-        theta_grid=_parse_grid_token(get("theta_grid", "range:0.05:0.95:19")),
-        alpha_grid=_parse_grid_token(get("alpha_grid", "logrange:1e-4:1e2:15")),
-        folds=int(get("folds", 5)),
-        stratified=bool(int(get("stratified", 1))),
-        seed=int(get("seed", 0)),
-    )
-    mode = get("mode", "scenario")
-    scenario = None
-    dataset_path = dtm_path = labels_path = None
+
+def _scaling(value: str) -> str | None:
+    value = value.lower()
+    return None if value in ("none", "") else value
+
+
+# key -> converter, for the keys whose defaults are those of the type built
+_GRID_KEYS = {"theta_grid": _parse_grid_token, "alpha_grid": _parse_grid_token,
+              "folds": int, "stratified": _flag, "seed": int}
+_SCENARIO_KEYS = {"noise_fraction": float, "delta": lambda v: float(v) if v else None,
+                  "dependent": _flag}
+_CONFIG_KEYS = {"test_size": int, "outer_folds": int, "feature_selection": str,
+                "fisher_l": int, "min_docs": int, "scaling": _scaling, "seed": int}
+
+
+def _given(raw: dict[str, str], keys: dict) -> dict:
+    """The keys that raw holds, converted; the others keep their defaults."""
+    return {k: convert(raw[k]) for k, convert in keys.items() if k in raw}
+
+
+def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
+    mode = raw.get("mode", "scenario")
+    fields = {}
     if mode == "scenario":
-        family = get("family", "t3").lower()
+        family = raw.get("family", "t3").lower()
         if family not in FAMILIES:
             raise DomainError(f"unknown family {family!r}")
-        delta = get("delta", "")
-        scenario = ScenarioSpec(
+        fields["scenario"] = ScenarioSpec(
             family=family,
-            n_train=int(get("n_train", 100)),
-            p=int(get("p", 50)),
-            noise_fraction=float(get("noise_fraction", 0.0)),
-            delta=float(delta) if delta not in ("", None) else None,
-            dependent=bool(int(get("dependent", 0))),
-            seed=int(get("seed", 0)),
+            n_train=int(raw.get("n_train", 100)),
+            p=int(raw.get("p", 50)),
+            **_given(raw, _SCENARIO_KEYS),
         )
     elif mode == "dense":
-        dataset_path = get("dataset")
-        if not dataset_path:
+        fields["dataset_path"] = raw.get("dataset")
+        if not fields["dataset_path"]:
             raise DomainError("dense mode requires dataset = <path>")
     elif mode == "dtm":
-        dtm_path = get("dtm")
-        labels_path = get("labels")
-        if not dtm_path or not labels_path:
+        fields["dtm_path"] = raw.get("dtm")
+        fields["labels_path"] = raw.get("labels")
+        if not fields["dtm_path"] or not fields["labels_path"]:
             raise DomainError("dtm mode requires dtm = <path> and labels = <path>")
     else:
         raise DomainError(f"unknown mode {mode!r}")
+    if "out" in raw:
+        fields["out_dir"] = raw["out"]
     classifiers = tuple(
-        t.strip().lower() for t in get("classifiers", "qc").split(",") if t.strip()
+        t.strip().lower() for t in raw.get("classifiers", "qc").split(",") if t.strip()
     )
-    scaling = get("scaling", "none").lower()
     return ExperimentConfig(
         classifiers=classifiers,
-        replications=int(get("replications", 1)),
-        grid=grid,
-        scenario=scenario,
-        test_size=int(get("test_size", 5000)),
-        dataset_path=dataset_path,
-        dtm_path=dtm_path,
-        labels_path=labels_path,
-        outer_folds=int(get("outer_folds", 10)),
-        feature_selection=get("feature_selection", "none"),
-        fisher_l=int(get("fisher_l", 50)),
-        min_docs=int(get("min_docs", 0)),
-        scaling=None if scaling in ("none", "") else scaling,
-        seed=int(get("seed", 0)),
-        out_dir=get("out", "."),
+        replications=int(raw.get("replications", 1)),
+        grid=TuningGrid(**_given(raw, _GRID_KEYS)),
+        **fields,
+        **_given(raw, _CONFIG_KEYS),
     )

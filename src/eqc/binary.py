@@ -106,19 +106,6 @@ class FittedEqc:
         return self.table.class_ids
 
 
-@dataclass(frozen=True)
-class PopulationLossEstimate:
-    """Monte Carlo estimate of the population binomial loss."""
-
-    value: float
-    mc_standard_error: float
-    sample_size: int
-
-    def __post_init__(self):
-        if self.mc_standard_error < 0:
-            raise DomainError("standard error cannot be negative")
-
-
 def qc_discriminant(x, table: QuantileTable):
     """Unit-weight sum of transformed features; class 1 when <= 0.
 
@@ -216,37 +203,6 @@ def fit_binary_eqc(
         [Z] = class_transforms(train.X, table, scaler)
     [(coef, report)] = fit_path(Z, y12, learner, [alpha])
     return FittedEqc(theta, table, coef, learner, scaler, report)
-
-
-def _loss_summands(model: FittedEqc, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ids = model.class_ids
-    mask = np.isin(y, ids)
-    if not mask.all():
-        raise DomainError("data contains labels the model was not fitted on")
-    s = eqc_discriminant(X, model)
-    y01 = (y == ids[1]).astype(float)
-    return np.logaddexp(0.0, s) - y01 * s
-
-
-def empirical_loss(model: FittedEqc, data: Dataset) -> float:
-    """Unpenalized binomial loss of the model's discriminant on data."""
-    return float(np.mean(_loss_summands(model, data.X, data.y)))
-
-
-def estimate_population_loss(
-    model: FittedEqc, generator, mc_samples: int, seed
-) -> PopulationLossEstimate:
-    """Monte Carlo population binomial loss under a labeled-sample generator.
-
-    generator must expose sample_labeled(n, seed) drawing from the class
-    mixture with its own priors (ALPopulation and ScenarioSpec both do).
-    """
-    if mc_samples < 1:
-        raise DomainError("mc_samples must be at least 1")
-    X, y = generator.sample_labeled(mc_samples, seed)
-    vals = _loss_summands(model, X, y)
-    se = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-    return PopulationLossEstimate(float(vals.mean()), se, mc_samples)
 
 
 def oracle_classifier(pop, rescaled: bool = False) -> FittedEqc:

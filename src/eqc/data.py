@@ -58,10 +58,6 @@ class Dataset:
         """Distinct labels in ascending order."""
         return np.unique(self.y)
 
-    def class_counts(self) -> dict[int, int]:
-        ids, counts = np.unique(self.y, return_counts=True)
-        return {int(k): int(c) for k, c in zip(ids, counts)}
-
     def subset(self, idx) -> "Dataset":
         """Row subset (copy), keeping variable names."""
         idx = np.asarray(idx)

@@ -197,13 +197,3 @@ def _load_labels(path, n_docs: int) -> np.ndarray:
         raise ParseError(f"expected {n_docs} labels, found {len(labels)}")
     return np.asarray(labels, dtype=int)
 
-
-def save_sparse_dtm(dtm: SparseDtm, matrix_path, labels_path) -> None:
-    """Write the triple format (1-based indices) and the labels file."""
-    with open(matrix_path, "w") as fh:
-        fh.write(f"{dtm.n_docs} {dtm.n_terms} {dtm.docs.size}\n")
-        for d, t, c in zip(dtm.docs, dtm.terms, dtm.counts):
-            fh.write(f"{d + 1} {t + 1} {c}\n")
-    with open(labels_path, "w") as fh:
-        for lab in dtm.labels:
-            fh.write(f"{lab}\n")

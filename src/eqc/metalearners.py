@@ -18,7 +18,7 @@ y - 1 in {0, 1} and the hinge loss through the margin labels
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,33 +82,17 @@ class Coefficients:
 
 
 @dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty kind and its positive tuning value.
-
-    value is the deviance penalty lambda for ridge/lasso and the cost c
-    for the hinge loss (larger cost = weaker regularization).
-    """
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in VALID_PENALTIES:
-            raise DomainError(f"unknown penalty kind {self.kind!r}")
-        if not (np.isfinite(self.value) and self.value > 0):
-            raise DomainError("penalty value must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SolverReport:
     """What a solve reached.
 
     final_loss is the objective the solver minimizes, at the returned
     coefficients: the penalized mean negative log-likelihood (Newton, every
-    K, and lasso; binomial_loss at K = 2) or hinge_loss (hinge). iterations
-    counts Newton steps (proximal Newton steps for the lasso) or hinge pair
-    updates; converged is True only when the stopping rule, at TOL, was met
-    within the MAX_ITER budget. grad_norm_at_exit is the norm of the last
+    K, and lasso; the penalized binomial deviance at K = 2) or hinge_loss
+    (hinge). iterations counts Newton steps (proximal Newton steps for the
+    lasso) or hinge pair updates; converged is True only when the stopping
+    rule, at TOL, was met within the MAX_ITER budget (and, for the logistic
+    learner in fit_path, when the fit does not separate the classes).
+    grad_norm_at_exit is the norm of the last
     minimum-norm subgradient, the gradient itself without the lasso penalty
     (Newton and lasso), or the duality gap in hinge_loss units (hinge).
     """
@@ -131,23 +115,6 @@ def _check_design(Z, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isin(y, (1, 2))):
         raise DomainError("labels must be in {1, 2}")
     return Z, y.astype(int)
-
-
-def binomial_loss(coef: Coefficients, penalty: PenaltySpec, Z, y) -> float:
-    """Penalized binomial deviance (1/n normalized, intercept unpenalized).
-
-    Ridge adds (lambda/2) * sum(beta_j^2), lasso (lambda/2) * sum(|beta_j|).
-    """
-    if penalty.kind not in ("ridge", "lasso"):
-        raise DomainError("binomial_loss takes a ridge or lasso penalty")
-    Z, y = _check_design(Z, y)
-    if coef.weights.size != Z.shape[1]:
-        raise DomainError("coefficient dimension does not match Z")
-    c = coef.scores(Z[None])[:, 0]
-    base = float(np.mean(np.logaddexp(0.0, c) - (y - 1) * c))
-    w = coef.weights
-    pen = np.sum(w * w) if penalty.kind == "ridge" else np.sum(np.abs(w))
-    return base + 0.5 * penalty.value * pen
 
 
 def _require_both_labels(y):
@@ -472,7 +439,10 @@ def fit_path(Z, y, learner: str, alphas) -> list[tuple[Coefficients, SolverRepor
     are dropped before solving and get weight exactly 0; with the
     intercept unpenalized this is the exact optimum, not an approximation.
     Ridge and lasso run from the largest lambda down, each solve
-    warm-started from the one before; the other solves start cold.
+    warm-started from the one before; the other solves start cold. A
+    logistic fit whose every training margin is positive has found a
+    separating hyperplane, a certificate that no minimizer exists, and
+    reports converged=False whatever its gradient norm.
     Returns one (Coefficients, SolverReport) per alpha, in grid order.
     """
     if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
@@ -498,6 +468,11 @@ def fit_path(Z, y, learner: str, alphas) -> list[tuple[Coefficients, SolverRepor
         else:
             lam = 0.0 if learner == "logistic" else alphas[a]
             coef, report = _fit_logistic_newton(Zs, y01, lam, warm)
+            if learner == "logistic" and np.all(
+                    (2.0 * y01 - 1.0) * coef.scores(Zs[None])[:, 0] > 0.0):
+                # every training margin is positive: the fit separates the
+                # classes, so no minimizer exists (Albert & Anderson 1984)
+                report = replace(report, converged=False)
         if learner in ("ridge", "lasso"):
             warm = np.concatenate((coef.intercepts, coef.weights))
         fits[a] = (_zero_filled(coef, keep), report)

@@ -3,11 +3,11 @@
 One shared weight vector w plus K-1 intercepts (the last class is the
 reference with intercept 0), so only p + K - 1 coefficients. Class k
 scores S_k = b_k + w . Q^{(k,K)}(x) against the reference and has logit
--S_k. The design is the stack of the K-1 transforms that
-`binary.class_transforms` returns, and the fit minimizes the mean
-negative log-likelihood plus (lam/2)||w||^2 (intercepts unpenalized) with
-the one damped Newton solver of `metalearners`, the one the binary ridge
-and logistic learners use.
+-S_k. The design is the stack Q of the K-1 transforms that
+`binary.class_transforms` returns, with the position of each label among
+the class ids. The fit minimizes the mean negative log-likelihood plus
+(lam/2)||w||^2 (intercepts unpenalized) with the one damped Newton solver
+of `metalearners`, the one the binary ridge and logistic learners use.
 
 The fit is a FittedEqc of kind 'multiclass-ridge' for any K >= 2. It
 scores and labels by the rule of `binary`: the logits are [-S | 0], so
@@ -16,8 +16,6 @@ those of the binary discriminant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,55 +33,24 @@ from .binary import (
 )
 
 
-@dataclass(frozen=True)
-class MulticlassDesign:
-    """The K-1 class transforms of a dataset and its labels.
-
-    Q[k, i] = Q^{(k,K)}(x_i), shape (K-1, n, p), as class_transforms
-    gives them; labels[i] is the position of x_i's class in the table's
-    class ids, so K-1 marks the reference class.
-    """
-
-    Q: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        labels = np.asarray(self.labels)
-        if Q.ndim != 3 or Q.shape[0] < 1:
-            raise DomainError("Q must have shape (K-1, n, p)")
-        if labels.shape != (Q.shape[1],):
-            raise DomainError("labels must have shape (n,)")
-        if not np.all(np.isin(labels, np.arange(Q.shape[0] + 1))):
-            raise DomainError("labels must be class positions 0..K-1")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "labels", labels.astype(int))
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.Q.shape[0] + 1
-
-    @property
-    def p(self) -> int:
-        return self.Q.shape[2]
-
-
 def build_design(data: Dataset, table: QuantileTable,
-                 scaling: VariableScaling | None = None) -> MulticlassDesign:
-    """Assemble the class transforms and label positions of a dataset."""
+                 scaling: VariableScaling | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The class transforms and label positions of a dataset: the design.
+
+    Q[k, i] = Q^{(k,K)}(x_i), shape (K-1, n, p), as class_transforms gives
+    them; positions[i] is the index of x_i's class in the table's class
+    ids, so K-1 marks the reference class.
+    """
     ids = table.class_ids
     if not np.all(np.isin(data.y, ids)):
         raise DomainError("data contains labels missing from the table")
     positions = np.argmax(data.y[:, None] == ids[None, :], axis=1)
-    return MulticlassDesign(class_transforms(data.X, table, scaling), positions)
+    return class_transforms(data.X, table, scaling), positions
 
 
-def fit_on_design(design: MulticlassDesign, lam: float) -> tuple[Coefficients, SolverReport]:
-    """Fit the softmax by the Newton solver of `metalearners`.
+def fit_on_design(Q: np.ndarray, positions: np.ndarray,
+                  lam: float) -> tuple[Coefficients, SolverReport]:
+    """Fit the softmax to the design (Q, positions) by the Newton solver.
 
     The report holds the penalized mean negative log-likelihood. Columns
     that are constant within every class transform can only shift the
@@ -94,9 +61,9 @@ def fit_on_design(design: MulticlassDesign, lam: float) -> tuple[Coefficients, S
     """
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    keep = ~np.all([degenerate_columns(Qk) for Qk in design.Q], axis=0)
-    Y = (design.labels == np.arange(design.n_classes - 1)[:, None]).astype(float)
-    coef, report = _softmax_newton(design.Q[:, :, keep], Y, lam)
+    keep = ~np.all([degenerate_columns(Qk) for Qk in Q], axis=0)
+    Y = (positions == np.arange(Q.shape[0])[:, None]).astype(float)
+    coef, report = _softmax_newton(Q[:, :, keep], Y, lam)
     return _zero_filled(coef, keep), report
 
 
@@ -113,8 +80,7 @@ def fit_multiclass_eqc(
     scaler = compute_scaling(train.X, scaling) if scaling is not None else None
     fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
     table = estimate_quantile_table(fit_data, theta)
-    design = build_design(train, table, scaler)
-    coef, report = fit_on_design(design, lam)
+    coef, report = fit_on_design(*build_design(train, table, scaler), lam)
     return FittedEqc(theta, table, coef, "multiclass-ridge", scaler, report)
 
 

@@ -1,4 +1,4 @@
-"""Quantile distance, empirical quantiles, and the quantile-difference transform.
+"""Quantile distance, per-class quantile tables, and the quantile-difference transform.
 
 The transform maps a raw input x_j to the difference of its quantile
 distances from two classes' level-theta quantiles. It is piecewise linear
@@ -109,23 +109,6 @@ def quantile_distance(u, theta):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def empirical_quantile(sample, theta: float) -> float:
-    """Theta-quantile by linear interpolation of order statistics.
-
-    With sorted values x_(1..n) and h = (n-1)*theta + 1 the result is
-    x_(floor(h)) + (h - floor(h)) * (x_(floor(h)+1) - x_(floor(h))).
-    Monotone non-decreasing in theta on a fixed sample.
-    """
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size == 0:
-        raise DomainError("sample must be non-empty")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample contains non-finite values")
-    if not (0.0 < theta < 1.0):
-        raise DomainError("theta must lie strictly in (0, 1)")
-    return float(_quantile_of_sorted(np.sort(x)[:, None], np.array([theta]))[0])
 
 
 def _quantile_of_sorted(sorted_cols: np.ndarray, theta: np.ndarray) -> np.ndarray:

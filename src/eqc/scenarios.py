@@ -94,11 +94,6 @@ class ScenarioSpec:
     def shift(self) -> float:
         return DEFAULT_DELTA[self.family] if self.delta is None else self.delta
 
-    def informative_mask(self) -> np.ndarray:
-        mask = np.zeros(self.p, dtype=bool)
-        mask[: self.n_informative] = True
-        return mask
-
     def effective_shifts(self) -> np.ndarray:
         """Per-column class-2 mean gap on the standardized scale.
 
@@ -114,14 +109,6 @@ class ScenarioSpec:
             return None
         return random_correlation_matrix(self.p, 0.5, (self.seed, 0xC0))
 
-    def sample_labeled(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n labeled observations from the equal-prior mixture."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        y = np.where(rng.random(n) < 0.5, 1, 2)
-        X = _sample_features(self, n, rng, self._correlation())
-        X[y == 2] += self.effective_shifts()
-        return X, y
-
 
 @dataclass(frozen=True)
 class GeneratedData:
@@ -129,20 +116,6 @@ class GeneratedData:
 
     train: Dataset
     test: Dataset
-    spec: ScenarioSpec
-    informative_mask: np.ndarray
-
-
-def sample_base_variable(family: str, variable_index: int, n: int, seed) -> np.ndarray:
-    """n standardized draws of one marginal (mean 0, variance 1).
-
-    The heterogeneous family cycles W, exp(W), log|W|, W^2, |W|^0.5 by
-    variable_index mod 5.
-    """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _standardized_column(family, variable_index, rng.standard_normal(n))
 
 
 def _raw_sd(family: str, var_index: int) -> float:
@@ -199,8 +172,7 @@ def generate(spec: ScenarioSpec, n_test: int) -> GeneratedData:
         X[y == 2] += shift
         return Dataset(X, y)
 
-    return GeneratedData(balanced(spec.n_train), balanced(n_test), spec,
-                         spec.informative_mask())
+    return GeneratedData(balanced(spec.n_train), balanced(n_test))
 
 
 def random_correlation_matrix(p: int, beta_shape: float, seed) -> np.ndarray:

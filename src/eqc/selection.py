@@ -147,8 +147,8 @@ def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> 
     for h, th in enumerate(thetas):
         table = estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
         if learner == "multiclass-ridge":
-            design = build_design(tr, table, scaler)
-            fits = [fit_on_design(design, al) for al in alphas]
+            Q, positions = build_design(tr, table, scaler)
+            fits = [fit_on_design(Q, positions, al) for al in alphas]
         else:
             [Z] = class_transforms(tr.X, table, scaler)
             fits = fit_path(Z, y12, learner, alphas)

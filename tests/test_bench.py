@@ -12,7 +12,7 @@ from eqc import (
     run_experiment,
     save_dense_csv,
 )
-from eqc.bench import _dataset_replication, summarize
+from eqc.bench import _dataset_replication, _parse_grid_token, config_from_mapping, summarize
 
 
 def _rng(seed=0):
@@ -252,6 +252,18 @@ class TestConfigFile:
         config = config_from_file(cfg, {"seed": 99, "out": "elsewhere"})
         assert config.seed == 99
         assert config.out_dir == "elsewhere"
+
+    def test_missing_keys_take_the_type_defaults(self):
+        config = config_from_mapping({})
+        assert config.grid == TuningGrid()
+        assert config.scenario == ScenarioSpec("t3", 100, 50)
+        assert config == ExperimentConfig(("qc",), 1, TuningGrid(), config.scenario)
+
+    def test_range_grid_points_are_decimal(self):
+        grid = _parse_grid_token("range:0.05:0.95:19")
+        assert 0.5 in grid
+        assert grid == TuningGrid().theta_grid
+        assert _parse_grid_token("range:0.1:0.9:9")[2] == 0.3
 
     def test_summarize_groups_by_classifier(self):
         rows = [

@@ -9,13 +9,9 @@ from eqc import (
     Coefficients,
     Dataset,
     DomainError,
-    PenaltySpec,
     QuantileParams,
     QuantileTable,
-    binomial_loss,
-    empirical_loss,
     eqc_discriminant,
-    estimate_population_loss,
     estimate_quantile_table,
     fit_binary_eqc,
     load_model,
@@ -24,11 +20,41 @@ from eqc import (
     save_model,
 )
 from eqc.binary import FittedEqc, class_transforms
-from eqc.scenarios import ScenarioSpec
+from eqc.scenarios import ScenarioSpec, _sample_features
+from test_asymlaplace import sample_labeled
+from test_metalearners import binomial_loss
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _loss_summands(model, X, y):
+    """Per-observation unpenalized binomial loss of the model's discriminant."""
+    s = eqc_discriminant(X, model)
+    y01 = (y == model.class_ids[1]).astype(float)
+    return np.logaddexp(0.0, s) - y01 * s
+
+
+def empirical_loss(model, data):
+    """Unpenalized binomial loss of the model's discriminant on data."""
+    return float(np.mean(_loss_summands(model, data.X, data.y)))
+
+
+def estimate_population_loss(model, X, y):
+    """Monte Carlo population binomial loss and its standard error, from
+    labeled draws X, y of the class mixture with its own priors."""
+    vals = _loss_summands(model, X, y)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(y.size))
+
+
+def _scenario_sample(spec, n, seed):
+    """n labeled draws (X, y) from the equal-prior mixture of a scenario."""
+    rng = _rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1, 2)
+    X = _sample_features(spec, n, rng, spec._correlation())
+    X[y == 2] += spec.effective_shifts()
+    return X, y
 
 
 def _table_1d(q1, q2, theta):
@@ -211,7 +237,7 @@ class TestLosses:
         model = fit_binary_eqc(data, theta, "ridge", 0.3)
         [Z] = class_transforms(data.X, model.table, model.scaling)
         lam = 0.3
-        with_pen = binomial_loss(model.coef, PenaltySpec("ridge", lam), Z, y)
+        with_pen = binomial_loss(model.coef, ("ridge", lam), Z, y)
         assert empirical_loss(model, data) == pytest.approx(
             with_pen - 0.5 * lam * np.sum(model.coef.weights**2), abs=1e-12
         )
@@ -222,20 +248,18 @@ class TestPopulationLoss:
         pop = ALPopulation((ALParams(0.0, 1.0, 1.0),), (ALParams(1.0, 1.0, 1.0),))
         table = _table_1d(0.0, 1.0, 0.5)
         model = FittedEqc(table.theta, table, Coefficients(0.0, np.zeros(1)), "ridge")
-        est = estimate_population_loss(model, pop, 500, seed=1)
-        assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
-        assert est.mc_standard_error < 1e-15  # constant integrand up to rounding
-        assert est.sample_size == 500
+        value, se = estimate_population_loss(model, *sample_labeled(pop, 500, seed=1))
+        assert value == pytest.approx(math.log(2.0), abs=1e-12)
+        assert se < 1e-15  # constant integrand up to rounding
 
     def test_clt_consistency_across_budgets(self):
         pop = ALPopulation((ALParams(0.0, 1.0, 0.7),), (ALParams(1.0, 1.0, 0.7),))
         from eqc.binary import oracle_classifier
 
         model = oracle_classifier(pop)
-        small = estimate_population_loss(model, pop, 2000, seed=2)
-        large = estimate_population_loss(model, pop, 20000, seed=3)
-        gap = abs(small.value - large.value)
-        assert gap < 4.0 * math.hypot(small.mc_standard_error, large.mc_standard_error)
+        small, small_se = estimate_population_loss(model, *sample_labeled(pop, 2000, seed=2))
+        large, large_se = estimate_population_loss(model, *sample_labeled(pop, 20000, seed=3))
+        assert abs(small - large) < 4.0 * math.hypot(small_se, large_se)
 
     def test_scenario_generator_accepted(self):
         spec = ScenarioSpec("t3", 100, 3, seed=4)
@@ -245,9 +269,9 @@ class TestPopulationLoss:
             np.array([1, 2]),
         )
         model = _unit_model(table)
-        est = estimate_population_loss(model, spec, 1000, seed=5)
-        assert np.isfinite(est.value)
-        assert est.mc_standard_error > 0
+        value, se = estimate_population_loss(model, *_scenario_sample(spec, 1000, seed=5))
+        assert np.isfinite(value)
+        assert se > 0
 
 
 class TestModelIo:

@@ -15,13 +15,23 @@ from eqc import (
     load_sparse_dtm,
     remove_low_frequency,
     save_dense_csv,
-    save_sparse_dtm,
 )
 from eqc.selftest import rational_fisher_pvalue
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def save_sparse_dtm(dtm: SparseDtm, matrix_path, labels_path) -> None:
+    """Write the triple format (1-based indices) and the labels file."""
+    with open(matrix_path, "w") as fh:
+        fh.write(f"{dtm.n_docs} {dtm.n_terms} {dtm.docs.size}\n")
+        for d, t, c in zip(dtm.docs, dtm.terms, dtm.counts):
+            fh.write(f"{d + 1} {t + 1} {c}\n")
+    with open(labels_path, "w") as fh:
+        for lab in dtm.labels:
+            fh.write(f"{lab}\n")
 
 
 class TestDenseCsv:

@@ -8,10 +8,8 @@ from scipy.special import expit
 from eqc import (
     Coefficients,
     DomainError,
-    PenaltySpec,
     QuantileParams,
     ScenarioSpec,
-    binomial_loss,
     estimate_quantile_table,
     fit_linear_svm,
     generate,
@@ -20,19 +18,40 @@ from eqc import (
 from eqc import metalearners
 from eqc.binary import class_transforms
 from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
+from eqc.quantiles import degenerate_columns
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def binomial_loss(coef, penalty, Z, y):
+    """Penalized binomial deviance (1/n normalized, intercept unpenalized),
+    the referee for SolverReport.final_loss at K = 2.
+
+    penalty is a (kind, lambda) pair: ridge adds (lambda/2) sum(w_j^2),
+    lasso (lambda/2) sum(|w_j|).
+    """
+    kind, lam = penalty
+    Z = np.asarray(Z, dtype=float)
+    y = np.asarray(y)
+    if coef.weights.size != Z.shape[1]:
+        raise DomainError("coefficient dimension does not match Z")
+    c = coef.scores(Z[None])[:, 0]
+    base = float(np.mean(np.logaddexp(0.0, c) - (y - 1) * c))
+    w = coef.weights
+    pen = np.sum(w * w) if kind == "ridge" else np.sum(np.abs(w))
+    return base + 0.5 * lam * pen
+
+
 def binomial_gradient(coef, penalty, Z, y):
     """Analytic gradient of the ridge objective over (intercept, weights)."""
+    _, lam = penalty
     Z = np.asarray(Z, dtype=float)
     r = expit(coef.intercepts[0] + Z @ coef.weights) - (np.asarray(y) - 1)
     g = np.empty(Z.shape[1] + 1)
     g[0] = r.mean()
-    g[1:] = Z.T @ r / Z.shape[0] + penalty.value * coef.weights
+    g[1:] = Z.T @ r / Z.shape[0] + lam * coef.weights
     return g
 
 
@@ -76,7 +95,7 @@ def _naive_hinge(coef, cost, Z, y):
 class TestBinomialLoss:
     def test_zero_coefficients_log2(self):
         coef = Coefficients(0.0, np.zeros(3))
-        pen = PenaltySpec("ridge", 5.0)
+        pen = ("ridge", 5.0)
         for label in (1, 2):
             loss = binomial_loss(coef, pen, np.zeros((1, 3)), [label])
             assert loss == pytest.approx(math.log(2.0), abs=1e-15)
@@ -88,7 +107,7 @@ class TestBinomialLoss:
         y[:2] = [1, 2]
         coef = Coefficients(0.3, rng.standard_normal(4))
         for kind in ("ridge", "lasso"):
-            pen = PenaltySpec(kind, 0.37)
+            pen = (kind, 0.37)
             ours = binomial_loss(coef, pen, Z, y)
             oracle = _naive_binomial(coef, 0.37, Z, y, kind)
             assert ours == pytest.approx(oracle, abs=1e-12)
@@ -96,14 +115,14 @@ class TestBinomialLoss:
     def test_dimension_mismatch(self):
         coef = Coefficients(0.0, np.zeros(2))
         with pytest.raises(DomainError):
-            binomial_loss(coef, PenaltySpec("ridge", 1.0), np.zeros((3, 3)), [1, 2, 1])
+            binomial_loss(coef, ("ridge", 1.0), np.zeros((3, 3)), [1, 2, 1])
 
     def test_convexity_witness(self):
         rng = _rng(11)
         Z = rng.standard_normal((25, 3))
         y = np.append(rng.integers(1, 3, size=23), [1, 2])
         for kind in ("ridge", "lasso"):
-            pen = PenaltySpec(kind, 0.2)
+            pen = (kind, 0.2)
             for _ in range(50):
                 a = Coefficients(rng.normal(), rng.standard_normal(3))
                 b = Coefficients(rng.normal(), rng.standard_normal(3))
@@ -131,8 +150,9 @@ class TestRidgeNewton:
         Z = rng.standard_normal((20, 2))
         y = np.where(Z[:, 0] + 0.5 * rng.standard_normal(20) > 0, 2, 1)
         y[:2] = [1, 2]
-        pen = PenaltySpec("ridge", 0.1)
-        [(coef, report)] = fit_path(Z, y, "ridge", [pen.value])
+        lam = 0.1
+        pen = ("ridge", lam)
+        [(coef, report)] = fit_path(Z, y, "ridge", [lam])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
         # every point of the 41^3 grid at once; the best is re-scored below
@@ -141,7 +161,7 @@ class TestRidgeNewton:
         W = np.column_stack((b1, b2))
         c = b0[:, None] + W @ Z.T
         losses = (np.mean(np.logaddexp(0.0, c) - (y - 1) * c, axis=1)
-                  + 0.5 * pen.value * np.sum(W * W, axis=1))
+                  + 0.5 * lam * np.sum(W * W, axis=1))
         i = int(losses.argmin())
         best = binomial_loss(Coefficients(b0[i], W[i]), pen, Z, y)
         assert ours <= best + 1e-12
@@ -150,7 +170,7 @@ class TestRidgeNewton:
         rng = _rng(19)
         Z = rng.standard_normal((30, 4))
         y = np.append(rng.integers(1, 3, size=28), [1, 2])
-        pen = PenaltySpec("ridge", 0.3)
+        pen = ("ridge", 0.3)
         coef = Coefficients(0.2, rng.standard_normal(4))
         g = binomial_gradient(coef, pen, Z, y)
         eps = 1e-6
@@ -215,11 +235,61 @@ class TestSigmoidOverflow:
             plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0)
             [(ridge, _)] = fit_path(Z, y, "ridge", [1e-12])
             g = binomial_gradient(
-                Coefficients(0.0, np.array([1000.0])), PenaltySpec("ridge", 1.0), Z, y
+                Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
         assert report.converged
         assert plain.weights[0] > 0 and ridge.weights[0] > 0
         assert np.all(np.isfinite(g))
+
+
+def _strictly_separable(Z, y):
+    """LP referee: is some (b, w) with s_i (b + z_i . w) >= 1 for every i,
+    s_i the margin label, feasible? (HiGHS)"""
+    from scipy.optimize import linprog
+
+    n, p = Z.shape
+    s = 2.0 * (np.asarray(y) - 1.0) - 1.0
+    A = -s[:, None] * np.column_stack((np.ones(n), Z))
+    res = linprog(np.zeros(p + 1), A_ub=A, b_ub=-np.ones(n),
+                  bounds=[(None, None)] * (p + 1), method="highs")
+    assert res.status in (0, 2)  # feasible or infeasible, nothing else
+    return res.status == 0
+
+
+def _t3_design(p, seed):
+    data = generate(ScenarioSpec("t3", 100, p, seed=seed), 2).train
+    table = estimate_quantile_table(data, QuantileParams.common(0.5, p))
+    return class_transforms(data.X, table)[0], data.y
+
+
+class TestLogisticSeparation:
+    # with every training margin positive the logistic likelihood has no
+    # maximizer (Albert & Anderson, Biometrika 1984); the solver still stops
+    # on its gradient norm, and fit_path reports such fits as not converged
+
+    @pytest.mark.parametrize("Z, y", [
+        (np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([1, 1, 2, 2])),
+        _t3_design(50, 0),
+    ])
+    def test_separable_reports_not_converged(self, Z, y):
+        assert _strictly_separable(Z, y)
+        [(coef, report)] = fit_path(Z, y, "logistic", [np.nan])
+        assert not report.converged
+        s = 2.0 * (y - 1.0) - 1.0
+        assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overlapping_t3_unchanged(self, seed):
+        Z, y = _t3_design(5, seed)
+        assert not _strictly_separable(Z, y)
+        [(coef, report)] = fit_path(Z, y, "logistic", [np.nan])
+        # the solve fit_path makes, on the same copy of the columns
+        Zs = Z[:, ~degenerate_columns(Z)]
+        plain, plain_report = _fit_logistic_newton(Zs, (y - 1).astype(float), 0.0)
+        assert report.converged
+        assert report == plain_report
+        assert np.array_equal(coef.intercepts, plain.intercepts)
+        assert np.array_equal(coef.weights, plain.weights)
 
 
 def _lasso_referee(Z, y, lam):
@@ -255,7 +325,7 @@ class TestLassoProx:
         Z = rng.standard_normal((n, p))
         y = np.where(Z[:, 0] - 0.5 * Z[:, 1] + rng.standard_normal(n) > 0, 2, 1)
         y[:2] = [1, 2]
-        pen = PenaltySpec("lasso", lam)
+        pen = ("lasso", lam)
         [(coef, report)] = fit_path(Z, y, "lasso", [lam])
         referee = binomial_loss(_lasso_referee(Z, y, lam), pen, Z, y)
         assert binomial_loss(coef, pen, Z, y) <= referee + 1e-9
@@ -276,7 +346,7 @@ class TestLassoProx:
             assert report.converged
             assert report.grad_norm_at_exit <= 1e-8
             assert report.iterations < 50
-        referee = binomial_loss(_lasso_referee(Z, data.y, 0.003), PenaltySpec("lasso", 0.003),
+        referee = binomial_loss(_lasso_referee(Z, data.y, 0.003), ("lasso", 0.003),
                                 Z, data.y)
         assert fits[2][1].final_loss <= referee + 1e-9
 

@@ -29,17 +29,27 @@ def _rng(seed=0):
 # Referees in the padded block format: blocks[i, k] = -Q^{(k,K)}(x_i) for
 # k < K and a zero reference row, Y the K x n one-hot labels, parameters
 # ordered (weights, intercepts), and the log-likelihood maximized. A second
-# computation path for the solver's objective, gradient and Hessian.
+# computation path for the solver's objective, gradient and Hessian. A
+# design is the pair (Q, positions) that build_design returns.
+
+
+def _shape(design):
+    """(n, K, p) of a design."""
+    m, n, p = design[0].shape
+    return n, m + 1, p
 
 
 def _blocks(design):
-    blocks = np.zeros((design.n, design.n_classes, design.p))
-    blocks[:, :-1, :] = -design.Q.transpose(1, 0, 2)
+    Q, _ = design
+    n, K, p = _shape(design)
+    blocks = np.zeros((n, K, p))
+    blocks[:, :-1, :] = -Q.transpose(1, 0, 2)
     return blocks
 
 
 def _onehot(design):
-    return (design.labels == np.arange(design.n_classes)[:, None]).astype(float)
+    _, positions = design
+    return (positions == np.arange(_shape(design)[1])[:, None]).astype(float)
 
 
 def _softmax_parts(coef, blocks):
@@ -63,7 +73,7 @@ def regularized_loglik(coef, design, lam):
 
 def _augmented(design):
     """(n, K, p+K-1) blocks with unpenalized intercept indicator columns."""
-    n, K, p = design.n, design.n_classes, design.p
+    n, K, p = _shape(design)
     D = np.zeros((n, K, p + K - 1))
     D[:, :, :p] = _blocks(design)
     for k in range(K - 1):
@@ -75,8 +85,9 @@ def loglik_gradient(coef, design, lam):
     """Gradient of regularized_loglik over (weights, intercepts)."""
     _, _, probs = _softmax_parts(coef, _blocks(design))
     resid = _onehot(design).T - probs  # (n, K)
-    g = np.einsum("ikm,ik->m", _augmented(design), resid) / design.n
-    g[: design.p] -= lam * coef.weights
+    n, _, p = _shape(design)
+    g = np.einsum("ikm,ik->m", _augmented(design), resid) / n
+    g[:p] -= lam * coef.weights
     return g
 
 
@@ -86,8 +97,9 @@ def loglik_hessian(coef, design, lam):
     D = _augmented(design)
     term1 = np.einsum("ikm,ik,ikl->ml", D, probs, D)
     V = np.einsum("ikm,ik->im", D, probs)
-    H = -(term1 - V.T @ V) / design.n
-    H[np.arange(design.p), np.arange(design.p)] -= lam
+    n, _, p = _shape(design)
+    H = -(term1 - V.T @ V) / n
+    H[np.arange(p), np.arange(p)] -= lam
     return H
 
 
@@ -98,7 +110,7 @@ def loglik_matrix_form(beta, design):
     blocks. Literal and not overflow-safe: a second computation path for
     the stable evaluation.
     """
-    n, K, p = design.n, design.n_classes, design.p
+    n, K, p = _shape(design)
     Q = _blocks(design).reshape(n * K, p)
     vecY = _onehot(design).T.reshape(n * K)  # row i*K+k matches Y[k, i]
     qb = Q @ beta
@@ -108,7 +120,7 @@ def loglik_matrix_form(beta, design):
 
 def loglik_gradient_matrix_form(beta, design):
     """Intercept-free gradient in stacked-matrix form (not 1/n scaled)."""
-    n, K, p = design.n, design.n_classes, design.p
+    n, K, p = _shape(design)
     blocks = _blocks(design)
     Q = blocks.reshape(n * K, p)
     vecY = _onehot(design).T.reshape(n * K)
@@ -128,11 +140,11 @@ def _x(coef):
 
 
 def _objective(coef, design, lam):
-    return _softmax_terms(design.Q, _indicators(design), lam, _x(coef))[0]
+    return _softmax_terms(design[0], _indicators(design), lam, _x(coef))[0]
 
 
 def _derivatives(coef, design, lam):
-    _, gradient, hessian = _softmax_terms(design.Q, _indicators(design), lam, _x(coef))
+    _, gradient, hessian = _softmax_terms(design[0], _indicators(design), lam, _x(coef))
     return gradient(), hessian()
 
 
@@ -246,7 +258,7 @@ class TestLoglik:
             _, _, design = _random_problem(K * 10 + p, n=25, K=K, p=p)
             beta = 0.7 * rng.standard_normal(p)
             coef = Coefficients(np.zeros(K - 1), beta)
-            stable = -_objective(coef, design, 0.0) * design.n
+            stable = -_objective(coef, design, 0.0) * _shape(design)[0]
             literal = loglik_matrix_form(beta, design)
             assert stable == pytest.approx(literal, abs=1e-12 * max(1, abs(literal)))
 
@@ -257,7 +269,7 @@ class TestLoglik:
         coef = Coefficients(np.zeros(2), beta)
         g, _ = _derivatives(coef, design, 0.0)
         literal = loglik_gradient_matrix_form(beta, design)
-        assert np.allclose(-g[2:] * design.n, literal, atol=1e-10)
+        assert np.allclose(-g[2:] * _shape(design)[0], literal, atol=1e-10)
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     @pytest.mark.parametrize("lam", [0.0, 0.4])
@@ -386,18 +398,18 @@ class TestFit:
     def test_objective_trace_monotone(self, monkeypatch):
         # the final loss at budgets 1, 2, ... is the objective after each step
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
-        _, full = _softmax_newton(design.Q, _indicators(design), 0.05)
+        _, full = _softmax_newton(design[0], _indicators(design), 0.05)
         losses = []
         for budget in range(1, full.iterations):
             monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-            losses.append(_softmax_newton(design.Q, _indicators(design), 0.05)[1].final_loss)
+            losses.append(_softmax_newton(design[0], _indicators(design), 0.05)[1].final_loss)
         assert len(losses) >= 2
         assert np.all(np.diff(np.asarray(losses)) <= 1e-12)
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_final_loss_is_penalized_negative_loglik(self, K):
         _, _, design = _random_problem(60 + K, n=45, K=K, p=4)
-        coef, report = fit_on_design(design, 0.05)
+        coef, report = fit_on_design(*design, 0.05)
         assert report.converged
         assert report.final_loss == pytest.approx(
             -regularized_loglik(coef, design, 0.05), rel=1e-12
@@ -415,7 +427,7 @@ class TestFit:
             data = Dataset(X, y)
             table = estimate_quantile_table(data, QuantileParams.common(0.4, 4))
             lam = 0.1
-            soft, soft_report = fit_on_design(build_design(data, table), lam)
+            soft, soft_report = fit_on_design(*build_design(data, table), lam)
             [(ridge, ridge_report)] = fit_path(
                 class_transforms(data.X, table)[0], y, "ridge", [lam]
             )
@@ -507,15 +519,12 @@ class TestScaling:
 
 class TestDesign:
     def test_transforms_and_label_positions(self):
-        data, table, design = _random_problem(24, K=3)
-        assert np.array_equal(design.Q, class_transforms(data.X, table))
-        assert np.array_equal(table.class_ids[design.labels], data.y)
-        assert (design.n, design.n_classes, design.p) == (data.n, 3, 4)
+        data, table, (Q, positions) = _random_problem(24, K=3)
+        assert np.array_equal(Q, class_transforms(data.X, table))
+        assert np.array_equal(table.class_ids[positions], data.y)
+        assert Q.shape == (2, data.n, 4)
 
-    def test_rejects_bad_shapes(self):
-        from eqc import MulticlassDesign
-
+    def test_rejects_labels_missing_from_table(self):
+        data, table, _ = _random_problem(25, K=3)
         with pytest.raises(DomainError):
-            MulticlassDesign(np.zeros((2, 3, 1)), np.zeros(2))  # 3 labels needed
-        with pytest.raises(DomainError):
-            MulticlassDesign(np.zeros((2, 3, 1)), np.array([0, 1, 3]))  # K = 3
+            build_design(Dataset(data.X, np.where(data.y == 3, 4, data.y)), table)

@@ -7,11 +7,24 @@ from eqc import (
     DomainError,
     QuantileParams,
     QuantileTable,
-    empirical_quantile,
     estimate_quantile_table,
     quantile_difference_transform,
     quantile_distance,
 )
+from eqc.quantiles import _quantile_of_sorted
+
+
+def empirical_quantile(sample, theta: float) -> float:
+    """Theta-quantile of one sample by the interpolation of quantile tables.
+
+    With sorted values x_(1..n) and h = (n-1)*theta + 1 the result is
+    x_(floor(h)) + (h - floor(h)) * (x_(floor(h)+1) - x_(floor(h))).
+    """
+    x = np.asarray(sample, dtype=float).ravel()
+    if x.size == 0:
+        raise DomainError("sample must be non-empty")
+    return float(_quantile_of_sorted(np.sort(x)[:, None], np.array([theta]))[0])
+
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 levels = st.floats(0.01, 0.99)
