@@ -59,6 +59,10 @@ class Dataset:
         return np.unique(self.y)
 
     def subset(self, idx) -> "Dataset":
-        """Row subset (copy), keeping variable names."""
+        """Row subset (copy), keeping variable names.
+
+        idx is an integer or boolean index array; such indexing already
+        returns a copy.
+        """
         idx = np.asarray(idx)
-        return Dataset(self.X[idx].copy(), self.y[idx].copy(), self.var_names)
+        return Dataset(self.X[idx], self.y[idx], self.var_names)

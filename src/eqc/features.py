@@ -4,6 +4,11 @@ Low-frequency filtering drops terms appearing in too few documents.
 Fisher selection scores each variable by the two-sided Fisher exact
 p-value of the 2x2 presence/absence x class table and keeps the L
 smallest; inside cross-validation it must only ever see training folds.
+
+With the class sizes fixed, a table's hypergeometric distribution depends
+only on its column total (the number of documents containing the term),
+so p-values are computed once per distinct column total, from a pmf
+evaluated in log space (log-gamma), and once per distinct table.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln
 
 from .data import Dataset
 from .errors import DomainError
@@ -48,7 +53,8 @@ def fisher_exact_pvalue(a: int, b: int, c: int, d: int) -> float:
     """Two-sided Fisher exact p-value of the table [[a, b], [c, d]].
 
     It uses the point-probability criterion: the sum of the probabilities
-    of all tables (same margins) no more likely than the observed one.
+    of all tables (same margins) no more likely than the observed one,
+    computed the way Fisher selection computes it.
     """
     for v in (a, b, c, d):
         if v < 0 or v != int(v):
@@ -56,15 +62,33 @@ def fisher_exact_pvalue(a: int, b: int, c: int, d: int) -> float:
     n_total = a + b + c + d
     if n_total == 0:
         return 1.0
-    row1 = a + b
-    col1 = a + c
-    lo = max(0, row1 + col1 - n_total)
-    hi = min(row1, col1)
-    support = np.arange(lo, hi + 1)
-    pmf = stats.hypergeom.pmf(support, n_total, col1, row1)
-    p_obs = pmf[a - lo]
-    # relative gate absorbs log-gamma rounding in the pmf
-    return float(min(1.0, pmf[pmf <= p_obs * (1.0 + 1e-9)].sum()))
+    [p] = _fisher_pvalues(np.array([int(a)]), np.array([int(a + c)]), int(a + b), int(n_total))
+    return float(p)
+
+
+def _fisher_pvalues(a: np.ndarray, k: np.ndarray, n1: int, n: int) -> np.ndarray:
+    """Two-sided Fisher p-values of the tables [[a, n1 - a], [k - a, .]].
+
+    All tables share the row total n1 and the grand total n; k holds each
+    table's first-column total. One pmf is computed per distinct k and one
+    masked sum per distinct (k, a).
+    """
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_denom = log_fact[n] - log_fact[n1] - log_fact[n - n1]
+    tables, inverse = np.unique(np.stack([k, a]), axis=1, return_inverse=True)
+    pvals = np.empty(tables.shape[1])
+    for col in np.unique(tables[0]):
+        rows = tables[0] == col
+        x = np.arange(max(0, n1 + col - n), min(n1, col) + 1)
+        pmf = np.exp(log_fact[col] - log_fact[x] - log_fact[col - x]
+                     + log_fact[n - col] - log_fact[n1 - x] - log_fact[n - col - n1 + x]
+                     - log_denom)
+        p_obs = pmf[tables[1, rows] - x[0]]
+        # the log-space pmf carries log-gamma rounding (about 1e-12 relative
+        # at n = 1600); the relative gate keeps equally likely tables together
+        keep = pmf <= p_obs[:, None] * (1.0 + 1e-9)
+        pvals[rows] = np.where(keep, pmf, 0.0).sum(axis=1)
+    return np.minimum(1.0, pvals)[inverse.reshape(-1)]
 
 
 def fisher_exact_select(data: Dataset, labels, L: int) -> np.ndarray:
@@ -90,13 +114,8 @@ def fisher_exact_select(data: Dataset, labels, L: int) -> np.ndarray:
     present = X > 0
     in1 = y == ids[0]
     n1 = int(in1.sum())
-    n2 = int(y.size - n1)
     a_vec = present[in1].sum(axis=0)
-    c_vec = present[~in1].sum(axis=0)
-    pvals = np.empty(p)
-    for j in range(p):
-        a = int(a_vec[j])
-        c = int(c_vec[j])
-        pvals[j] = fisher_exact_pvalue(a, n1 - a, c, n2 - c)
+    k_vec = present.sum(axis=0)
+    pvals = _fisher_pvalues(a_vec, k_vec, n1, y.size)
     order = np.argsort(pvals, kind="stable")
     return np.sort(order[:L])

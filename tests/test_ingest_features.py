@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from eqc import (
     remove_low_frequency,
     save_dense_csv,
 )
+from eqc.ingest import _scan_triples
 from eqc.selftest import rational_fisher_pvalue
 
 
@@ -107,6 +109,9 @@ class TestSparseDtm:
         with pytest.raises(DomainError, match="duplicate"):
             SparseDtm(2, 2, np.array([0, 0]), np.array([1, 1]),
                       np.array([1, 2]), np.array([1, 2]))
+        with pytest.raises(DomainError, match="duplicate"):
+            SparseDtm(2, 2, np.array([1, 0, 1]), np.array([0, 1, 0]),
+                      np.array([1, 2, 3]), np.array([1, 2]))
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(DomainError):
@@ -134,6 +139,72 @@ class TestSparseDtm:
         l.write_text("1\n2\n")
         with pytest.raises(ParseError, match="line 2"):
             load_sparse_dtm(m, l)
+
+
+def _dtm_files(tmp_path, matrix: str, labels: str = "1\n2\n1\n"):
+    m, l = tmp_path / "m.txt", tmp_path / "l.txt"
+    m.write_bytes(matrix.encode())
+    l.write_text(labels)
+    return m, l
+
+
+class TestSparseParser:
+    """The loadtxt fast path and the line scan it falls back to agree."""
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("3 4 2\n1 1 1\n2 2\n", 'line 3: expected "doc term count"'),
+        ("3 4 1\n1.0 1 1\n", "line 2: entries must be integers"),
+        ("3 4 1\n4 1 1\n", "line 2: document index 4 out of range"),
+        ("3 4 1\n0 1 1\n", "line 2: document index 0 out of range"),
+        ("3 4 1\n1 5 1\n", "line 2: term index 5 out of range"),
+        ("3 4 1\n1 1 0\n", "line 2: count 0 must be positive"),
+        ("3 4 3\n1 1 1\n2 2 2\n", "header announced 3 entries, file has 2"),
+        ("3 4 1\n1 1 1\n2 2 2\n", "header announced 1 entries, file has 2"),
+        ("3 4 1\n", "header announced 1 entries, file has 0"),
+        ("3 4\n1 1 1\n", 'line 1: header must be "n_docs n_terms n_entries"'),
+        ("3 x 1\n1 1 1\n", "line 1: header fields must be integers"),
+        ("3 4 3\n1 1 1\n\n  \n2 2 2\n3 9 1\n", "line 6: term index 9 out of range"),
+    ])
+    def test_parse_errors_keep_message_and_line(self, tmp_path, matrix, message):
+        with pytest.raises(ParseError) as err:
+            load_sparse_dtm(*_dtm_files(tmp_path, matrix))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("matrix, triples", [
+        ("3 1000 1\n2 1_000 5\n", [(1, 999, 5)]),
+        ("3 4 2\n+1 +3 +2\n3 4 1\n", [(0, 2, 2), (2, 3, 1)]),
+        ("3 4 2\n1\t3\t2\n\t3 4  1\n", [(0, 2, 2), (2, 3, 1)]),
+        ("3 4 2\r\n1 3 2\r\n\r\n3 4 1\r\n", [(0, 2, 2), (2, 3, 1)]),
+        ("3 4 0\n\n", []),
+    ])
+    def test_integer_spellings_int_accepts(self, tmp_path, matrix, triples):
+        dtm = load_sparse_dtm(*_dtm_files(tmp_path, matrix))
+        want = np.asarray(triples, dtype=int).reshape(-1, 3)
+        assert (dtm.n_docs, dtm.n_terms) == tuple(int(v) for v in matrix.split()[:2])
+        assert np.array_equal(np.column_stack([dtm.docs, dtm.terms, dtm.counts]), want)
+        assert np.array_equal(dtm.labels, [1, 2, 1])
+
+    def test_random_files_equal_on_both_paths(self, tmp_path, monkeypatch):
+        rng = _rng(11)
+        for trial in range(20):
+            n_docs, n_terms = (int(v) for v in rng.integers(1, 60, size=2))
+            cells = rng.choice(n_docs * n_terms, size=int(rng.integers(0, n_docs * n_terms)),
+                               replace=False)
+            dtm = SparseDtm(n_docs, n_terms, cells // n_terms, cells % n_terms,
+                            rng.integers(1, 10**6, size=cells.size),
+                            rng.integers(1, 3, size=n_docs))
+            m, l = tmp_path / f"m{trial}.txt", tmp_path / f"l{trial}.txt"
+            save_sparse_dtm(dtm, m, l)
+            body = m.read_text().split("\n", 1)[1]
+            scanned = _scan_triples(body, n_docs, n_terms)
+            with monkeypatch.context() as patch:
+                patch.setattr("eqc.ingest._scan_triples", None)  # fast path only
+                fast = load_sparse_dtm(m, l)
+            assert np.array_equal(np.column_stack([fast.docs + 1, fast.terms + 1, fast.counts]),
+                                  scanned)
+            assert np.array_equal(fast.docs, dtm.docs)
+            assert np.array_equal(fast.terms, dtm.terms)
+            assert np.array_equal(fast.counts, dtm.counts)
 
 
 class TestRemoveLowFrequency:
@@ -179,6 +250,65 @@ class TestFisher:
             assert fisher_exact_pvalue(a, b, c, d) == pytest.approx(
                 rational_fisher_pvalue(a, b, c, d), abs=1e-12
             )
+
+    def test_all_small_tables_match_exact_enumeration(self):
+        for n in range(15):
+            for a, b, c in itertools.product(range(n + 1), repeat=3):
+                d = n - a - b - c
+                if d >= 0:
+                    assert fisher_exact_pvalue(a, b, c, d) == pytest.approx(
+                        rational_fisher_pvalue(a, b, c, d), abs=1e-12
+                    )
+
+    def test_matches_scipy_at_corpus_size(self):
+        # a training fold of the text benchmark: 800 documents per class,
+        # every column total from 0 to 1600
+        rng = _rng(9)
+        n1 = 800
+        for k in range(2 * n1 + 1):
+            a = int(rng.integers(max(0, k - n1), min(n1, k) + 1))
+            table = [[a, n1 - a], [k - a, n1 - k + a]]
+            ref = stats.fisher_exact(table).pvalue
+            assert fisher_exact_pvalue(*table[0], *table[1]) == pytest.approx(
+                ref, rel=1e-9, abs=1e-300
+            )
+
+    def test_mirrored_tables_equal(self):
+        n1 = 25
+        for a, c in itertools.product(range(n1 + 1), repeat=2):
+            assert fisher_exact_pvalue(a, n1 - a, c, n1 - c) == fisher_exact_pvalue(
+                c, n1 - c, a, n1 - a
+            )
+
+    def test_select_ties_break_by_lower_index(self):
+        y = np.repeat([1, 2], 20)
+        strong = np.r_[np.ones(15), np.zeros(5), np.ones(5), np.zeros(15)]
+        mirror = np.r_[np.ones(5), np.zeros(15), np.ones(15), np.zeros(5)]
+        weak = np.tile([1.0, 0.0], 20)
+        X = np.column_stack([weak, mirror, strong, strong, weak])
+        data = Dataset(X, y)
+        assert list(fisher_exact_select(data, y, 1)) == [1]
+        assert list(fisher_exact_select(data, y, 2)) == [1, 2]
+        assert list(fisher_exact_select(data, y, 3)) == [1, 2, 3]
+        assert list(fisher_exact_select(data, y, 4)) == [0, 1, 2, 3]
+
+    def test_select_equals_smallest_scipy_pvalues(self):
+        # 400 documents, two classes, independent Poisson counts; every
+        # tenth term has its class-2 rate raised or lowered
+        rng = _rng(10)
+        n, p, L = 400, 500, 40
+        y = rng.permutation(np.repeat([1, 2], n // 2))
+        rate = 20.0 / (np.arange(p) + 1.0) ** 1.1
+        shift = np.where(np.arange(p) % 10 == 0, np.where(np.arange(p) % 20 == 0, 1.5, 1 / 1.5), 1)
+        X = rng.poisson(np.where((y == 2)[:, None], rate * shift, rate)).astype(float)
+        present = X > 0
+        a, c = present[y == 1].sum(axis=0), present[y == 2].sum(axis=0)
+        cache = {}
+        for t in set(zip(a, c)):
+            cache[t] = stats.fisher_exact([[t[0], n // 2 - t[0]], [t[1], n // 2 - t[1]]]).pvalue
+        ref = np.array([cache[t] for t in zip(a, c)])
+        want = np.sort(np.argsort(ref, kind="stable")[:L])
+        assert np.array_equal(fisher_exact_select(Dataset(X, y), y, L), want)
 
     def test_select_keeps_informative_terms(self):
         rng = _rng(5)
