@@ -9,6 +9,9 @@ Two protocols:
   repetition of an outer stratified K-fold cross-validation, with tuning
   and any feature selection done inside each training fold.
 
+Both yield (replication, outer fold, train, test) task sets, and one loop
+tunes, predicts and scores every classifier on each of them.
+
 All randomness derives from the master seed by replication index, so a
 run is reproducible; replications run one after another, in order. Every
 fit runs the metalearners solvers at their module settings (TOL,
@@ -18,7 +21,7 @@ MAX_ITER, ARMIJO, BACKTRACK); a run has no solver options of its own.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,74 +135,12 @@ def classifier_grid(name: str, theta_grid, alpha_grid, folds: int, stratified: b
     return learner, grid
 
 
-def _fit_and_predict(train: Dataset, test_X, learner: str, grid: TuningGrid,
-                     scaling) -> np.ndarray:
-    model, _ = tune_and_train(train, grid, learner, scaling)
-    predict = predict_multiclass if model.kind == "multiclass-ridge" else predict_binary
-    return predict(test_X, model)
-
-
 def _sensitivities(pred, truth, class_ids) -> dict[int, float]:
     out = {}
     for k in class_ids:
         mask = truth == k
         out[int(k)] = float(np.mean(pred[mask] == k)) if mask.any() else float("nan")
     return out
-
-
-def _score_classifiers(config: ExperimentConfig, train: Dataset, test: Dataset,
-                       rep: int, fold: int | None):
-    """Tune, predict and score each classifier: rows, sensitivities, failures."""
-    where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
-    task = rep if fold is None else rep * config.outer_folds + fold
-    rows, sens, fails = [], [], []
-    g = config.grid
-    for name in config.classifiers:
-        try:
-            learner, grid = classifier_grid(
-                name, g.theta_grid, g.alpha_grid, g.folds, g.stratified,
-                _seed_int(config.seed, task, CLASSIFIERS.index(name)),
-            )
-            pred = _fit_and_predict(train, test.X, learner, grid, config.scaling)
-            rows.append((config.label, name, rep, fold, misclassification_rate(pred, test.y)))
-            if name == "eqc-multiclass":
-                sens.append((name, rep, _sensitivities(pred, test.y, train.class_ids)))
-        except EqcError as exc:
-            fails.append(f"{where}{name}: {exc}")
-    return rows, sens, fails
-
-
-def _scenario_replication(config: ExperimentConfig, rep: int):
-    spec = replace(config.scenario, seed=_sub_seed(config.seed, rep))
-    data = generate(spec, config.test_size)
-    return _score_classifiers(config, data.train, data.test, rep, None)
-
-
-def _select_columns(train: Dataset, config: ExperimentConfig) -> np.ndarray | None:
-    if config.feature_selection == "fisher":
-        return fisher_exact_select(train, train.y, config.fisher_l)
-    return None
-
-
-def _dataset_replication(config: ExperimentConfig, data: Dataset, rep: int):
-    folds = make_folds(
-        data.y, config.outer_folds, stratified=True,
-        seed=_seed_int(config.seed, rep),
-    )
-    rows, sens, fails = [], [], []
-    for f in range(config.outer_folds):
-        tr = data.subset(folds != f)
-        te = data.subset(folds == f)
-        if set(tr.class_ids) != set(data.class_ids):
-            fails.append(f"rep {rep} fold {f}: training part misses a class")
-            continue
-        cols = _select_columns(tr, config)
-        tr_f = tr if cols is None else Dataset(tr.X[:, cols], tr.y)
-        te_f = te if cols is None else Dataset(te.X[:, cols], te.y)
-        scored = _score_classifiers(config, tr_f, te_f, rep, f)
-        for out, new in zip((rows, sens, fails), scored):
-            out += new
-    return rows, sens, fails
 
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
@@ -209,6 +150,38 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     if config.min_docs > 1:
         dtm, _ = remove_low_frequency(dtm, config.min_docs)
     return dtm.to_dense()
+
+
+def _task_sets(config: ExperimentConfig):
+    """(replication, outer fold, train, test) of every task set, in run order.
+
+    Scenario mode draws one train/test pair per replication, with fold
+    None. Dataset mode yields every outer fold of every replication, after
+    any Fisher selection on the training part; a fold whose training part
+    misses a class comes with train and test None.
+    """
+    if config.scenario is not None:
+        for rep in range(config.replications):
+            data = generate(replace(config.scenario, seed=_sub_seed(config.seed, rep)),
+                            config.test_size)
+            yield rep, None, data.train, data.test
+        return
+    data = _load_dataset(config)
+    for rep in range(config.replications):
+        folds = make_folds(data.y, config.outer_folds, stratified=True,
+                           seed=_seed_int(config.seed, rep))
+        for f in range(config.outer_folds):
+            train = data.subset(folds != f)
+            if set(train.class_ids) != set(data.class_ids):
+                yield rep, f, None, None
+                continue
+            test = data.subset(folds == f)
+            if config.feature_selection == "fisher":
+                # rebinding train frees the full training part before tuning
+                cols = fisher_exact_select(train, train.y, config.fisher_l)
+                train = Dataset(train.X[:, cols], train.y)
+                test = Dataset(test.X[:, cols], test.y)
+            yield rep, f, train, test
 
 
 def summarize(rows) -> list[dict]:
@@ -235,26 +208,49 @@ def summarize(rows) -> list[dict]:
     return out
 
 
+def _write_csv(out_dir: str, name: str, header, records) -> str:
+    """One CSV of str() cells; a float's str is its repr, so values round-trip."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        for cells in (header, *records):
+            fh.write(",".join(map(str, cells)) + "\n")
+    return path
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run all replications, write report CSVs, and return the summary.
+    """Run every task, write report CSVs, and return the summary.
 
-    Replication failures are recorded and skipped; the run aborts if at
-    least 20% of (classifier x replication) tasks fail.
+    A task is one classifier on one (replication, outer fold) task set, so
+    a run has classifier x replication x outer fold tasks (one fold per
+    replication in scenario mode). Failed tasks are recorded and skipped;
+    the run aborts if at least 20% of them fail.
     """
-    data = None if config.scenario is not None else _load_dataset(config)
     rows, sens_rows, failures = [], [], []
-    for rep in range(config.replications):
-        if config.scenario is not None:
-            r_rows, r_sens, r_fails = _scenario_replication(config, rep)
-        else:
-            r_rows, r_sens, r_fails = _dataset_replication(config, data, rep)
-        rows.extend(r_rows)
-        sens_rows.extend(r_sens)
-        failures.extend(r_fails)
+    g = config.grid
+    for rep, fold, train, test in _task_sets(config):
+        where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
+        task = rep if fold is None else rep * config.outer_folds + fold
+        for name in config.classifiers:
+            if train is None:
+                failures.append(f"{where}{name}: training part misses a class")
+                continue
+            try:
+                learner, grid = classifier_grid(
+                    name, g.theta_grid, g.alpha_grid, g.folds, g.stratified,
+                    _seed_int(config.seed, task, CLASSIFIERS.index(name)),
+                )
+                model, _ = tune_and_train(train, grid, learner, config.scaling)
+                predict = (predict_multiclass if model.kind == "multiclass-ridge"
+                           else predict_binary)
+                pred = predict(test.X, model)
+                rows.append((config.label, name, rep, fold,
+                             misclassification_rate(pred, test.y)))
+                if name == "eqc-multiclass":
+                    sens_rows.append(_sensitivities(pred, test.y, train.class_ids))
+            except EqcError as exc:
+                failures.append(f"{where}{name}: {exc}")
 
-    total_tasks = config.replications * len(config.classifiers) * (
-        1 if config.scenario is not None else config.outer_folds
-    )
+    total_tasks = len(rows) + len(failures)
     if failures and len(failures) >= 0.2 * total_tasks:
         detail = "; ".join(failures[:5])
         raise EqcError(
@@ -262,56 +258,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     summary = summarize(rows)
-    sens_summary = _summarize_sensitivities(sens_rows, summary)
-    report = ExperimentReport(rows, summary, sens_summary, failures)
+    sensitivities = []
+    if sens_rows:
+        sensitivities.append({
+            "classifier": "eqc-multiclass",
+            "mean_error": next(row["mean_error"] for row in summary
+                               if row["classifier"] == "eqc-multiclass"),
+            "sensitivities": {k: float(np.nanmean([s[k] for s in sens_rows]))
+                              for k in sorted(sens_rows[0])},
+        })
+    report = ExperimentReport(rows, summary, sensitivities, failures)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
-        report.long_path = os.path.join(config.out_dir, "errors_long.csv")
-        with open(report.long_path, "w") as fh:
-            fh.write("scenario,classifier,replication,fold,error\n")
-            for label, name, rep, fold, err in rows:
-                fold_s = "" if fold is None else str(fold)
-                fh.write(f"{label},{name},{rep},{fold_s},{err!r}\n")
-        report.summary_path = os.path.join(config.out_dir, "summary.csv")
-        with open(report.summary_path, "w") as fh:
-            fh.write("classifier,runs,mean_error,std_error,formatted\n")
-            for row in summary:
-                fh.write(
-                    f"{row['classifier']},{row['runs']},{row['mean_error']!r},"
-                    f"{row['std_error']!r},{row['formatted']}\n"
-                )
-        if sens_summary:
-            report.sensitivity_path = os.path.join(config.out_dir, "sensitivities.csv")
-            classes = sorted(sens_summary[0]["sensitivities"])
-            with open(report.sensitivity_path, "w") as fh:
-                fh.write("classifier,mean_error," +
-                         ",".join(f"class_{k}" for k in classes) + "\n")
-                for row in sens_summary:
-                    cells = [row["classifier"], repr(row["mean_error"])]
-                    cells += [repr(row["sensitivities"][k]) for k in classes]
-                    fh.write(",".join(cells) + "\n")
+        report.long_path = _write_csv(
+            config.out_dir, "errors_long.csv",
+            ("scenario", "classifier", "replication", "fold", "error"),
+            [(label, name, rep, "" if fold is None else fold, err)
+             for label, name, rep, fold, err in rows])
+        header = ("classifier", "runs", "mean_error", "std_error", "formatted")
+        report.summary_path = _write_csv(
+            config.out_dir, "summary.csv", header,
+            [[row[k] for k in header] for row in summary])
+        if sensitivities:
+            row = sensitivities[0]
+            report.sensitivity_path = _write_csv(
+                config.out_dir, "sensitivities.csv",
+                ["classifier", "mean_error", *(f"class_{k}" for k in row["sensitivities"])],
+                [[row["classifier"], row["mean_error"], *row["sensitivities"].values()]])
     return report
-
-
-def _summarize_sensitivities(sens_rows, summary) -> list[dict]:
-    if not sens_rows:
-        return []
-    by_name: dict[str, list[dict]] = {}
-    for name, _, sens in sens_rows:
-        by_name.setdefault(name, []).append(sens)
-    mean_err = {row["classifier"]: row["mean_error"] for row in summary}
-    out = []
-    for name, entries in sorted(by_name.items()):
-        classes = sorted(entries[0])
-        agg = {
-            k: float(np.nanmean([e[k] for e in entries])) for k in classes
-        }
-        out.append({
-            "classifier": name,
-            "mean_error": mean_err.get(name, float("nan")),
-            "sensitivities": agg,
-        })
-    return out
 
 
 def _parse_grid_token(token: str) -> tuple:

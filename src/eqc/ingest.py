@@ -118,10 +118,11 @@ def load_dense_csv(path) -> Dataset:
 
 def _parse_rows(body: str, width: int) -> np.ndarray:
     rows = []
-    for lineno, line in enumerate(body.splitlines(), start=2):
+    # numbered as the file (opened with newline="") numbers its lines
+    for lineno, line in enumerate(io.StringIO(body, newline=""), start=2):
         if not line.strip():
             continue
-        cells = line.split(",")
+        cells = line.rstrip("\r\n").split(",")
         if len(cells) != width:
             raise ParseError(
                 f"expected {width} columns, found {len(cells)}", line=lineno

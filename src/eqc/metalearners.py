@@ -90,8 +90,9 @@ class SolverReport:
     K, and lasso; the penalized binomial deviance at K = 2) or hinge_loss
     (hinge). iterations counts Newton steps (proximal Newton steps for the
     lasso) or hinge pair updates; converged is True only when the stopping
-    rule, at TOL, was met within the MAX_ITER budget (and, for the logistic
-    learner in fit_path, when the fit does not separate the classes).
+    rule, at TOL, was met within the MAX_ITER budget (and, for an
+    unpenalized Newton fit at K = 2, when the fit does not separate the
+    classes).
     grad_norm_at_exit is the norm of the last
     minimum-norm subgradient, the gradient itself without the lasso penalty
     (Newton and lasso), or the duality gap in hinge_loss units (hinge).
@@ -296,10 +297,16 @@ def _fit_logistic_newton(
 ) -> tuple[Coefficients, SolverReport]:
     """The Newton solver at K = 2: ridge on Z and y01 in {0, 1}; lam may be 0.
 
+    At lam = 0 a fit whose every training margin is positive has found a
+    separating hyperplane, a certificate that no minimizer exists (Albert &
+    Anderson 1984), and reports converged=False whatever its gradient norm.
     An entry of its own, apart from multiclass.fit_on_design, because the
     benchmark traces the two as separate layers.
     """
-    return _softmax_newton(Z[None], (1.0 - y01)[None], lam, x0)
+    coef, report = _softmax_newton(Z[None], (1.0 - y01)[None], lam, x0)
+    if lam == 0 and np.all((2.0 * y01 - 1.0) * coef.scores(Z[None])[:, 0] > 0.0):
+        report = replace(report, converged=False)
+    return coef, report
 
 
 def _unpack(x: np.ndarray, m: int = 1) -> Coefficients:
@@ -440,9 +447,7 @@ def fit_path(Z, y, learner: str, alphas) -> list[tuple[Coefficients, SolverRepor
     intercept unpenalized this is the exact optimum, not an approximation.
     Ridge and lasso run from the largest lambda down, each solve
     warm-started from the one before; the other solves start cold. A
-    logistic fit whose every training margin is positive has found a
-    separating hyperplane, a certificate that no minimizer exists, and
-    reports converged=False whatever its gradient norm.
+    separated logistic fit reports converged=False (_fit_logistic_newton).
     Returns one (Coefficients, SolverReport) per alpha, in grid order.
     """
     if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
@@ -468,11 +473,6 @@ def fit_path(Z, y, learner: str, alphas) -> list[tuple[Coefficients, SolverRepor
         else:
             lam = 0.0 if learner == "logistic" else alphas[a]
             coef, report = _fit_logistic_newton(Zs, y01, lam, warm)
-            if learner == "logistic" and np.all(
-                    (2.0 * y01 - 1.0) * coef.scores(Zs[None])[:, 0] > 0.0):
-                # every training margin is positive: the fit separates the
-                # classes, so no minimizer exists (Albert & Anderson 1984)
-                report = replace(report, converged=False)
         if learner in ("ridge", "lasso"):
             warm = np.concatenate((coef.intercepts, coef.weights))
         fits[a] = (_zero_filled(coef, keep), report)

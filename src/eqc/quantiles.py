@@ -115,7 +115,8 @@ def _quantile_of_sorted(sorted_cols: np.ndarray, theta: np.ndarray) -> np.ndarra
     """Column-wise interpolated quantiles of pre-sorted columns.
 
     sorted_cols: (n, p) with each column ascending; theta: (p,).
-    Sorting is hoisted out so one sort serves a whole theta grid.
+    The caller sorts: estimate_quantile_table sorts the class's columns
+    on every call, once per theta vector.
     """
     n = sorted_cols.shape[0]
     h = (n - 1) * theta

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, stdtrit
 
 from .data import Dataset
 from .errors import DomainError
@@ -130,8 +130,9 @@ def _raw_sd(family: str, var_index: int) -> float:
 def _standardized_column(family: str, var_index: int, z: np.ndarray) -> np.ndarray:
     """Map standard normal draws through one marginal and standardize."""
     if family == "t3":
-        u = stats.norm.cdf(z)
-        return stats.t.ppf(u, df=3) / math.sqrt(3.0)
+        # the normal cdf and t3 quantile that scipy.stats calls, without
+        # loading scipy.stats
+        return stdtrit(3, ndtr(z)) / math.sqrt(3.0)
     if family == "lognormal":
         mean, sd = _HETERO_MOMENTS[1]
         return (np.exp(z) - mean) / sd

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from eqc import (
     run_experiment,
     save_dense_csv,
 )
-from eqc.bench import _dataset_replication, _parse_grid_token, config_from_mapping, summarize
+from eqc.bench import _parse_grid_token, config_from_mapping, summarize
+from eqc.ingest import read_key_values
+
+FIXTURES = Path(__file__).parent / "fixtures" / "bench"
 
 
 def _rng(seed=0):
@@ -171,18 +176,51 @@ class TestDatasetMode:
         assert sel_a.size == sel_b.size == 4
         assert np.array_equal(sel_a, sel_b)
 
+    def _one_sided_folds(self, tmp_path, monkeypatch, outer_folds):
+        # outer fold 0 holds every class-2 observation, so its training
+        # part misses class 2 in every replication
+        path = self._dataset(tmp_path)
+        y = np.repeat([1, 2], 30)
+        folds = np.where(y == 2, 0, 1 + np.arange(60) % (outer_folds - 1))
+        monkeypatch.setattr("eqc.bench.make_folds", lambda *args, **kwargs: folds)
+        return ExperimentConfig(
+            classifiers=("qc", "mc"),
+            replications=2,
+            grid=_small_grid(),
+            dataset_path=str(path),
+            outer_folds=outer_folds,
+            seed=12,
+            out_dir="",
+        )
+
+    def test_missing_class_fails_every_classifier(self, tmp_path, monkeypatch):
+        report = run_experiment(self._one_sided_folds(tmp_path, monkeypatch, 10))
+        assert len(report.rows) + len(report.failures) == 2 * 10 * 2
+        assert report.failures == [
+            f"rep {r} fold 0 {c}: training part misses a class"
+            for r in (0, 1) for c in ("qc", "mc")
+        ]
+        assert {(r[2], r[3]) for r in report.rows} == {
+            (r, f) for r in (0, 1) for f in range(1, 10)}
+
+    def test_failure_share_counts_classifier_tasks(self, tmp_path, monkeypatch):
+        # 2 replications x 4 folds x 2 classifiers; fold 0 fails both
+        with pytest.raises(EqcError, match=r"^4 of 16 tasks failed \(>= 20%\)"):
+            run_experiment(self._one_sided_folds(tmp_path, monkeypatch, 4))
+
 
 def _outer_selections(monkeypatch, config, data, folds):
-    """Fisher selections of one dataset replication on the given outer folds."""
+    """Fisher selections of a one-replication run on the given outer folds."""
     selections = []
 
     def recording(*args):
         selections.append(fisher_exact_select(*args))
         return selections[-1]
 
+    monkeypatch.setattr("eqc.bench._load_dataset", lambda config: data)
     monkeypatch.setattr("eqc.bench.make_folds", lambda *args, **kwargs: folds)
     monkeypatch.setattr("eqc.bench.fisher_exact_select", recording)
-    _dataset_replication(config, data, 0)
+    run_experiment(config)
     monkeypatch.undo()
     assert len(selections) == config.outer_folds
     return selections
@@ -218,6 +256,29 @@ class TestMulticlassReporting:
         lines = open(report.sensitivity_path).read().strip().splitlines()
         assert lines[0] == "classifier,mean_error,class_1,class_2,class_3"
         assert len(lines) == 2
+
+
+class TestGoldenOutputs:
+    # each case holds an experiment file, its inputs, and the report CSVs
+    # that the run wrote when the case was added; every byte must stay.
+    # Binary classifiers fail on 3 classes, so dense3 runs eqc-multiclass
+    # alone and qc rides in the scenario case.
+    OUTPUTS = ("errors_long.csv", "summary.csv", "sensitivities.csv")
+
+    @pytest.mark.parametrize("case", ["dense3", "scenario", "dtm"])
+    def test_report_files_byte_identical(self, case, tmp_path):
+        case_dir = FIXTURES / case
+        cfg = case_dir / "experiment.cfg"
+        raw = read_key_values(cfg)
+        overrides = {k: str(case_dir / raw[k]) for k in ("dataset", "dtm", "labels")
+                     if k in raw}
+        run_experiment(config_from_file(cfg, {**overrides, "out": str(tmp_path)}))
+        for name in self.OUTPUTS:
+            expected = case_dir / name
+            if expected.exists():
+                assert (tmp_path / name).read_bytes() == expected.read_bytes(), name
+            else:
+                assert not (tmp_path / name).exists(), name
 
 
 class TestConfigFile:

@@ -59,6 +59,18 @@ class TestDenseCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_dense_csv(path)
 
+    @pytest.mark.parametrize("body", [
+        "1,0.5\x0c\n2,oops\n",      # a form feed is no line break
+        "1,0.5\u2028\n2,oops\n",    # nor a Unicode line separator
+        "1,0.5\r\n2,oops\r\n",
+        "1,0.5\r2,oops\r",
+    ])
+    def test_line_numbers_follow_the_file(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("label,v1\n" + body).encode())
+        with pytest.raises(ParseError, match="^line 3: non-numeric cell: .*'oops'$"):
+            load_dense_csv(path)
+
     def test_ragged_row_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,v1,v2\n1,0.5,0.5\n2,0.5\n")

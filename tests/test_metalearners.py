@@ -237,7 +237,8 @@ class TestSigmoidOverflow:
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
-        assert report.converged
+        # the 4 points are separable, so the unpenalized fit has no minimizer
+        assert not report.converged
         assert plain.weights[0] > 0 and ridge.weights[0] > 0
         assert np.all(np.isfinite(g))
 
@@ -265,7 +266,8 @@ def _t3_design(p, seed):
 class TestLogisticSeparation:
     # with every training margin positive the logistic likelihood has no
     # maximizer (Albert & Anderson, Biometrika 1984); the solver still stops
-    # on its gradient norm, and fit_path reports such fits as not converged
+    # on its gradient norm, and _fit_logistic_newton, the solve fit_path
+    # makes, reports such fits as not converged
 
     @pytest.mark.parametrize("Z, y", [
         (np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([1, 1, 2, 2])),
@@ -277,6 +279,10 @@ class TestLogisticSeparation:
         assert not report.converged
         s = 2.0 * (y - 1.0) - 1.0
         assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
+        # the solver entry itself says so, not only fit_path
+        Zs = Z[:, ~degenerate_columns(Z)]
+        _, plain_report = _fit_logistic_newton(Zs, (y - 1).astype(float), 0.0)
+        assert plain_report == report
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_overlapping_t3_unchanged(self, seed):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,23 @@ class TestBaseVariables:
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.var() == pytest.approx(1.0, abs=0.08)
         assert stats.kurtosis(draws) > 2.0  # t3 excess kurtosis is infinite
+
+    def test_t3_equals_scipy_stats_bit_for_bit(self):
+        # the t3 marginal is the normal cdf then the t3 quantile, as in
+        # scipy.stats.t.ppf(scipy.stats.norm.cdf(z), 3), for |z| up to 24
+        z = np.concatenate((_rng(5).standard_normal(10**5), np.linspace(-24, 24, 4801)))
+        expect = stats.t.ppf(stats.norm.cdf(z), df=3) / math.sqrt(3.0)
+        got = _standardized_column("t3", 0, z)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_import_eqc_leaves_scipy_stats_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, eqc; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            check=True)
+        assert out.stdout.strip() == "False"
 
     def test_lognormal_moments(self):
         draws = sample_base_variable("lognormal", 0, 10**6, seed=2)
