@@ -201,7 +201,7 @@ def fit_binary_eqc(
         if np.min(np.bincount(y12)[1:]) < 2:
             raise FitError("each class needs at least 2 observations")
         [Z] = class_transforms(train.X, table, scaler)
-    [(coef, report)] = fit_path(Z, y12, learner, [alpha])
+    [[(coef, report)]] = fit_path(Z[None], y12, learner, [alpha])
     return FittedEqc(theta, table, coef, learner, scaler, report)
 
 

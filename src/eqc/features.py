@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
 from .errors import DomainError
@@ -73,6 +72,8 @@ def _fisher_pvalues(a: np.ndarray, k: np.ndarray, n1: int, n: int) -> np.ndarray
     table's first-column total. One pmf is computed per distinct k and one
     masked sum per distinct (k, a).
     """
+    from scipy.special import gammaln  # lazily, so that import eqc loads no scipy
+
     log_fact = gammaln(np.arange(n + 1) + 1.0)
     log_denom = log_fact[n] - log_fact[n1] - log_fact[n - n1]
     tables, inverse = np.unique(np.stack([k, a]), axis=1, return_inverse=True)

@@ -63,8 +63,8 @@ def fit_on_design(Q: np.ndarray, positions: np.ndarray,
         raise DomainError("lambda must be nonnegative")
     keep = ~np.all([degenerate_columns(Qk) for Qk in Q], axis=0)
     Y = (positions == np.arange(Q.shape[0])[:, None]).astype(float)
-    coef, report = _softmax_newton(Q[:, :, keep], Y, lam)
-    return _zero_filled(coef, keep), report
+    X, [report] = _softmax_newton(Q[None, :, :, keep], Y, lam)
+    return _zero_filled(X[0], keep, Q.shape[0]), report
 
 
 def fit_multiclass_eqc(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtrit
 
 from .data import Dataset
 from .errors import DomainError
@@ -131,7 +130,9 @@ def _standardized_column(family: str, var_index: int, z: np.ndarray) -> np.ndarr
     """Map standard normal draws through one marginal and standardize."""
     if family == "t3":
         # the normal cdf and t3 quantile that scipy.stats calls, without
-        # loading scipy.stats
+        # loading scipy.stats; imported here, so that import eqc loads no scipy
+        from scipy.special import ndtr, stdtrit
+
         return stdtrit(3, ndtr(z)) / math.sqrt(3.0)
     if family == "lognormal":
         mean, sd = _HETERO_MOMENTS[1]

@@ -2,11 +2,13 @@
 
 For every fold and every theta, class quantiles are estimated on the
 training part only (no leakage), the held-out part is transformed with
-that table, and the inner loop over alpha fits and scores the
-metalearner. The (theta, alpha) cell with the lowest mean
-misclassification wins and the model is refit on the full data. Cells
-whose fold-mean errors are equal up to floating-point rounding are tied;
-ties prefer stronger regularization, then theta nearest 0.5.
+that table, and the metalearner is fitted and scored at every alpha; a
+binary learner is fitted at every (theta, alpha) of the fold by one
+fit_path call on the stack of the fold's training designs. The
+(theta, alpha) cell with the lowest mean misclassification wins and the
+model is refit on the full data. Cells whose fold-mean errors are equal
+up to floating-point rounding are tied; ties prefer stronger
+regularization, then theta nearest 0.5.
 """
 
 from __future__ import annotations
@@ -136,24 +138,33 @@ def misclassification_rate(predictions, truth) -> float:
 def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> np.ndarray:
     """Errors (H, A) for one fold; scaling and quantiles come from tr only.
 
-    Per theta, both parts are turned into features once and the learner is
-    fitted at every alpha; each fit is scored by the scores and the label
-    rule its refit model predicts with.
+    Per theta, both parts are turned into features once (the training part
+    not for unit-weights, whose weights are fixed). A binary learner is
+    then fitted at every (theta, alpha) by one fit_path call on the stack
+    of the fold's training designs; multiclass-ridge is fitted per
+    (theta, alpha). Each fit is scored by the scores and the label rule its
+    refit model predicts with.
     """
     errs = np.full((len(thetas), len(alphas)), np.nan)
     scaler = compute_scaling(tr.X, scaling) if scaling is not None else None
     tr_scaled = tr if scaler is None else Dataset(scaler.apply(tr.X), tr.y)
-    y12 = np.where(tr.y == tr.class_ids[0], 1, 2)
-    for h, th in enumerate(thetas):
-        table = estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
-        if learner == "multiclass-ridge":
+    tables = [estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
+              for th in thetas]
+    if learner == "multiclass-ridge":
+        fits = []
+        for table in tables:
             Q, positions = build_design(tr, table, scaler)
-            fits = [fit_on_design(Q, positions, al) for al in alphas]
+            fits.append([fit_on_design(Q, positions, al) for al in alphas])
+    else:
+        y12 = np.where(tr.y == tr.class_ids[0], 1, 2)
+        if learner == "unit-weights":  # QC's weights are fixed: only p is read
+            Z = np.empty((len(tables), 0, tr.p))
         else:
-            [Z] = class_transforms(tr.X, table, scaler)
-            fits = fit_path(Z, y12, learner, alphas)
+            Z = np.concatenate([class_transforms(tr.X, table, scaler) for table in tables])
+        fits = fit_path(Z, y12, learner, alphas)
+    for h, table in enumerate(tables):
         Q_te = class_transforms(te.X, table, scaler)
-        for a, (coef, _) in enumerate(fits):
+        for a, (coef, _) in enumerate(fits[h]):
             pred = labels_from_scores(coef.scores(Q_te), table.class_ids)
             errs[h, a] = misclassification_rate(pred, te.y)
     return errs

@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from eqc import (
     Coefficients,
+    Dataset,
     DomainError,
     QuantileParams,
     ScenarioSpec,
@@ -19,6 +20,7 @@ from eqc import metalearners
 from eqc.binary import class_transforms
 from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
 from eqc.quantiles import degenerate_columns
+from eqc.selection import DEFAULT_ALPHA_GRID, make_folds
 
 
 def _rng(seed=0):
@@ -56,13 +58,13 @@ def binomial_gradient(coef, penalty, Z, y):
 
 
 def _objective_per_budget(monkeypatch, solve):
-    """final_loss of solve() at Newton budgets 1, 2, ... up to convergence:
-    the objective after each accepted step."""
-    _, full = solve()
+    """final_loss of solve(), a report, at Newton budgets 1, 2, ... up to
+    convergence: the objective after each accepted step."""
+    full = solve()
     losses = []
     for budget in range(1, full.iterations):
         monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-        losses.append(solve()[1].final_loss)
+        losses.append(solve().final_loss)
     monkeypatch.undo()
     return losses
 
@@ -140,7 +142,7 @@ class TestRidgeNewton:
     def test_all_zero_design_balanced(self):
         Z = np.zeros((10, 2))
         y = np.array([1, 2] * 5)
-        [(coef, report)] = fit_path(Z, y, "ridge", [0.5])
+        [[(coef, report)]] = fit_path(Z[None], y, "ridge", [0.5])
         assert report.converged
         assert coef.intercepts[0] == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(coef.weights, 0.0, atol=1e-9)
@@ -152,7 +154,7 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         lam = 0.1
         pen = ("ridge", lam)
-        [(coef, report)] = fit_path(Z, y, "ridge", [lam])
+        [[(coef, report)]] = fit_path(Z[None], y, "ridge", [lam])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
         # every point of the 41^3 grid at once; the best is re-scored below
@@ -193,7 +195,7 @@ class TestRidgeNewton:
         for lam, l1 in ((0.05, 0.0), (0.0, 0.05)):
             losses = _objective_per_budget(
                 monkeypatch, lambda: _softmax_newton(
-                    Z[None], (y == 1)[None].astype(float), lam, l1=l1))
+                    Z[None, None], (y == 1)[None].astype(float), lam, l1=l1)[1][0])
             assert len(losses) >= 2
             diffs = np.diff(np.asarray(losses))
             assert np.all(diffs <= 1e-12)
@@ -205,7 +207,7 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         norms = []
         for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
-            [(coef, _)] = fit_path(Z, y, "ridge", [lam])
+            [[(coef, _)]] = fit_path(Z[None], y, "ridge", [lam])
             norms.append(np.linalg.norm(coef.weights))
         # heavier penalty never grows the optimum's weight norm
         assert np.all(np.diff(norms) <= 1e-8)
@@ -218,11 +220,145 @@ class TestRidgeNewton:
         # a one-step budget cannot reach the 1e-8 (sub)gradient tolerance
         monkeypatch.setattr(metalearners, "MAX_ITER", 1)
         for kind in ("ridge", "lasso"):
-            [(coef, report)] = fit_path(Z, y, kind, [0.01])
+            [[(coef, report)]] = fit_path(Z[None], y, kind, [0.01])
             assert not report.converged
             assert np.isfinite(coef.weights).all()
             assert report.iterations == 1
             assert report.grad_norm_at_exit > 1e-8
+
+
+def _fold_stack(family="t3", n=60, p=8, seed=0, thetas=None, counts=False):
+    """One CV fold's training designs, one per theta, stacked as fit_path
+    takes them, and their labels."""
+    if counts:  # count data full of zeros and ties, as in a term matrix
+        rng = _rng(seed)
+        y = np.repeat([1, 2], n // 2)
+        X = rng.poisson(np.where(y[:, None] == 1, 0.4, 0.9), (n, p)).astype(float)
+        data = Dataset(X, y)
+    else:
+        data = generate(ScenarioSpec(family, n, p, seed=seed), 2).train
+    thetas = np.round(np.arange(0.05, 0.951, 0.05), 2) if thetas is None else thetas
+    tables = [estimate_quantile_table(data, QuantileParams.common(th, p)) for th in thetas]
+    return np.concatenate([class_transforms(data.X, t) for t in tables]), data.y
+
+
+def _stack_equals_one_at_a_time(Z, y, learner, alphas):
+    """fit_path on the stack Z, after checking that every design's fits,
+    coefficients and reports equal bit for bit those of its own call."""
+    stacked = fit_path(Z, y, learner, alphas)
+    for Zi, fits in zip(Z, stacked):
+        [alone] = fit_path(Zi[None], y, learner, alphas)
+        for (c, r), (c1, r1) in zip(fits, alone):
+            assert np.array_equal(c.intercepts, c1.intercepts)
+            assert np.array_equal(c.weights, c1.weights)
+            assert r == r1
+    return stacked
+
+
+def _masks(Z):
+    return {(~degenerate_columns(Zi)).tobytes() for Zi in Z}
+
+
+class TestStackedNewton:
+    # fit_path solves the designs of a stack in lockstep; each must get
+    # exactly the fit it gets alone
+
+    @pytest.mark.parametrize("learner, alphas", [
+        ("ridge", [3.0, 0.1, 0.003]),
+        ("lasso", [0.1, 0.01]),
+        ("logistic", [np.nan]),
+    ])
+    def test_stack_equals_one_at_a_time(self, learner, alphas):
+        Z, y = _fold_stack()
+        assert len(_masks(Z)) < len(Z)  # some designs do share a stack
+        stacked = _stack_equals_one_at_a_time(Z, y, learner, alphas)
+        iterations = {r.iterations for fits in stacked for _, r in fits}
+        assert len(iterations) > 1  # the designs stop at different steps
+
+    def test_separated_design_beside_overlapping_ones(self):
+        rng = _rng(41)
+        y = np.repeat([1, 2], 20)
+        noise = rng.standard_normal((3, 40, 3))
+        Z = noise.copy()
+        Z[0, :, 0] = (2.0 * y - 3.0) + 0.1 * noise[0, :, 0]  # separates the classes
+        assert _strictly_separable(Z[0], y) and not _strictly_separable(Z[1], y)
+        stacked = _stack_equals_one_at_a_time(Z, y, "logistic", [np.nan])
+        converged = [fits[0][1].converged for fits in stacked]
+        assert converged == [False, True, True]  # the certificate is per design
+
+    def test_budget_ends_some_designs(self, monkeypatch):
+        Z, y = _fold_stack(seed=3)
+        full = [fits[0][1].iterations for fits in fit_path(Z, y, "logistic", [np.nan])]
+        budget = (min(full) + max(full)) // 2
+        assert min(full) < budget < max(full)
+        monkeypatch.setattr(metalearners, "MAX_ITER", budget)
+        stacked = _stack_equals_one_at_a_time(Z, y, "logistic", [np.nan])
+        ended = [fits[0][1] for fits in stacked]
+        assert any(r.converged for r in ended)
+        assert any(not r.converged and r.iterations == budget for r in ended)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0])
+    def test_backtracking_and_singular_problems_stay_apart(self, lam):
+        # problem 1 starts far out, where full Newton steps overshoot, so it
+        # backtracks while problem 0 takes full steps; problem 2 has two
+        # equal columns of scale 1e8, so its Hessian is singular (the
+        # batched solve fails for the whole stack) and no step is accepted
+        rng = _rng(3)
+        y = np.repeat([1, 2], 20)
+        Z = rng.standard_normal((3, 40, 3)) + (y[:, None] - 1.5)
+        Z[2, :, 1] = Z[2, :, 0] = 1e8 * rng.standard_normal(40)
+        Y = (y == 1)[None].astype(float)
+        X0 = np.zeros((3, 4))
+        X0[1, 1:] = [-40.0, 25.0, -30.0]
+        X, reports = _softmax_newton(Z[:, None], Y, lam, X0)
+        for i in range(3):
+            Xi, [ri] = _softmax_newton(Z[i:i + 1, None], Y, lam, X0[i:i + 1])
+            assert np.array_equal(Xi[0], X[i]) and ri == reports[i]
+        assert reports[0].converged and reports[1].converged
+        assert reports[1].iterations > reports[0].iterations
+        assert not reports[2].converged and reports[2].iterations == 1
+
+    @pytest.mark.parametrize("learner", ["ridge", "lasso"])
+    def test_count_data_with_two_column_masks(self, learner):
+        Z, y = _fold_stack(n=40, p=6, counts=True, thetas=[0.1, 0.3, 0.5, 0.5, 0.7, 0.9])
+        masks = [(~degenerate_columns(Zi)).tobytes() for Zi in Z]
+        assert len(set(masks)) >= 2
+        assert max(masks.count(m) for m in masks) >= 2
+        _stack_equals_one_at_a_time(Z, y, learner, [1.0, 0.05])
+
+
+class TestRoundingLevelArmijo:
+    def test_stalled_fit_converges(self):
+        # the ridge fit at lambda = 5.18 of fold 4, theta 0.5, of the default
+        # grid's tuning on t3 (n = 100, p = 50, seed 0), warm-started along
+        # its path: near the optimum the predicted decrease fell below
+        # ulp(f), so the plain Armijo test took steps near 2^-31 and ran out
+        # the 500-step budget at a gradient norm just above TOL
+        stalled_loss, stalled_grad = 0.691218358508312, 1.1845227332587175e-08
+        data = generate(ScenarioSpec("t3", 100, 50, seed=0), 2).train
+        tr = data.subset(make_folds(data.y, 5, True, 0) != 4)
+        table = estimate_quantile_table(tr, QuantileParams.common(0.5, 50))
+        Z = class_transforms(tr.X, table)
+        lam = DEFAULT_ALPHA_GRID[11]
+        assert lam == pytest.approx(5.18, abs=0.01)
+        [fits] = fit_path(Z, tr.y, "ridge", DEFAULT_ALPHA_GRID[11:])
+        coef, report = fits[0]
+        assert report.converged and report.iterations <= 10
+        # both objectives are the optimum up to the rounding of f
+        assert report.final_loss <= stalled_loss + 4 * np.spacing(stalled_loss)
+        # and in exact arithmetic the new one is lower: with L an upper
+        # bound on the Hessian, f - f* >= |g|^2 / (2L) at the stalled point,
+        # while f - f* <= |g|^2 / (2 mu) here (mu halved for rounding)
+        keep = ~degenerate_columns(Z[0])
+        Zk = Z[:, :, keep]
+        A = np.column_stack((np.ones(len(tr.y)), Zk[0]))  # the weights P(1 - P) are <= 1/4
+        L = lam + np.linalg.eigvalsh(A.T @ A).max() / (4 * len(tr.y))
+        x = np.concatenate((coef.intercepts, coef.weights[keep]))[None]
+        Q, Y = Zk[:, None], (tr.y == 1)[None].astype(float)
+        _, S, lse = metalearners._softmax_terms(Q, Y, lam, x)
+        _, P = metalearners._softmax_gradient(Q, Y, lam, x, S, lse)
+        mu = np.linalg.eigvalsh(metalearners._softmax_hessian(Q, lam, P)[0]).min() / 2
+        assert report.grad_norm_at_exit ** 2 / (2 * mu) < stalled_grad ** 2 / (2 * L)
 
 
 class TestSigmoidOverflow:
@@ -232,8 +368,8 @@ class TestSigmoidOverflow:
         y = np.array([1, 1, 2, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0)
-            [(ridge, _)] = fit_path(Z, y, "ridge", [1e-12])
+            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, np.ones(1, bool))
+            [[(ridge, _)]] = fit_path(Z[None], y, "ridge", [1e-12])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
@@ -275,23 +411,23 @@ class TestLogisticSeparation:
     ])
     def test_separable_reports_not_converged(self, Z, y):
         assert _strictly_separable(Z, y)
-        [(coef, report)] = fit_path(Z, y, "logistic", [np.nan])
+        [[(coef, report)]] = fit_path(Z[None], y, "logistic", [np.nan])
         assert not report.converged
         s = 2.0 * (y - 1.0) - 1.0
         assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
         # the solver entry itself says so, not only fit_path
-        Zs = Z[:, ~degenerate_columns(Z)]
-        _, plain_report = _fit_logistic_newton(Zs, (y - 1).astype(float), 0.0)
+        keep = ~degenerate_columns(Z)
+        _, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0, keep)
         assert plain_report == report
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_overlapping_t3_unchanged(self, seed):
         Z, y = _t3_design(5, seed)
         assert not _strictly_separable(Z, y)
-        [(coef, report)] = fit_path(Z, y, "logistic", [np.nan])
+        [[(coef, report)]] = fit_path(Z[None], y, "logistic", [np.nan])
         # the solve fit_path makes, on the same copy of the columns
-        Zs = Z[:, ~degenerate_columns(Z)]
-        plain, plain_report = _fit_logistic_newton(Zs, (y - 1).astype(float), 0.0)
+        keep = ~degenerate_columns(Z)
+        plain, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0, keep)
         assert report.converged
         assert report == plain_report
         assert np.array_equal(coef.intercepts, plain.intercepts)
@@ -332,7 +468,7 @@ class TestLassoProx:
         y = np.where(Z[:, 0] - 0.5 * Z[:, 1] + rng.standard_normal(n) > 0, 2, 1)
         y[:2] = [1, 2]
         pen = ("lasso", lam)
-        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
         referee = binomial_loss(_lasso_referee(Z, y, lam), pen, Z, y)
         assert binomial_loss(coef, pen, Z, y) <= referee + 1e-9
         assert report.converged
@@ -347,7 +483,7 @@ class TestLassoProx:
         data = generate(spec, 2).train
         table = estimate_quantile_table(data, QuantileParams.common(0.05, 50))
         Z = class_transforms(data.X, table)[0]
-        fits = fit_path(Z, data.y, "lasso", [3.0, 0.1, 0.003])
+        [fits] = fit_path(Z[None], data.y, "lasso", [3.0, 0.1, 0.003])
         for _, report in fits:
             assert report.converged
             assert report.grad_norm_at_exit <= 1e-8
@@ -366,7 +502,7 @@ class TestLassoProx:
         # max_j |(1/n) sum z_ij (y01_i - ybar)| <= lambda/2
         corr = np.abs(Z.T @ (y01 - y01.mean())) / len(y)
         lam = 2.0 * corr.max() * 1.0001
-        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
         assert report.converged
         assert np.all(coef.weights == 0.0)
 
@@ -377,7 +513,7 @@ class TestLassoProx:
         y = np.where(Z @ beta_true + 0.3 * rng.standard_normal(60) > 0, 2, 1)
         y[:2] = [1, 2]
         lam = 0.05
-        [(coef, report)] = fit_path(Z, y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
         y01 = (y - 1).astype(float)
         c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
@@ -395,7 +531,7 @@ class TestLassoProx:
         beta_true = np.zeros(8)
         beta_true[:2] = [3.0, -3.0]
         y = np.where(Z @ beta_true > 0, 2, 1)
-        [(coef, _)] = fit_path(Z, y, "lasso", [0.1])
+        [[(coef, _)]] = fit_path(Z[None], y, "lasso", [0.1])
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
 

@@ -18,7 +18,13 @@ from eqc import (
     predict_multiclass,
 )
 from eqc import metalearners
-from eqc.metalearners import _softmax_newton, _softmax_terms, fit_path
+from eqc.metalearners import (
+    _softmax_gradient,
+    _softmax_hessian,
+    _softmax_newton,
+    _softmax_terms,
+    fit_path,
+)
 from eqc.multiclass import fit_on_design
 
 
@@ -140,12 +146,14 @@ def _x(coef):
 
 
 def _objective(coef, design, lam):
-    return _softmax_terms(design[0], _indicators(design), lam, _x(coef))[0]
+    return _softmax_terms(design[0][None], _indicators(design), lam, _x(coef)[None])[0][0]
 
 
 def _derivatives(coef, design, lam):
-    _, gradient, hessian = _softmax_terms(design[0], _indicators(design), lam, _x(coef))
-    return gradient(), hessian()
+    Q, x = design[0][None], _x(coef)[None]
+    _, S, lse = _softmax_terms(Q, _indicators(design), lam, x)
+    G, P = _softmax_gradient(Q, _indicators(design), lam, x, S, lse)
+    return G[0], _softmax_hessian(Q, lam, P)[0]
 
 
 def _from_x(x, K):
@@ -398,11 +406,12 @@ class TestFit:
     def test_objective_trace_monotone(self, monkeypatch):
         # the final loss at budgets 1, 2, ... is the objective after each step
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
-        _, full = _softmax_newton(design[0], _indicators(design), 0.05)
+        _, [full] = _softmax_newton(design[0][None], _indicators(design), 0.05)
         losses = []
         for budget in range(1, full.iterations):
             monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-            losses.append(_softmax_newton(design[0], _indicators(design), 0.05)[1].final_loss)
+            losses.append(
+                _softmax_newton(design[0][None], _indicators(design), 0.05)[1][0].final_loss)
         assert len(losses) >= 2
         assert np.all(np.diff(np.asarray(losses)) <= 1e-12)
 
@@ -428,8 +437,8 @@ class TestFit:
             table = estimate_quantile_table(data, QuantileParams.common(0.4, 4))
             lam = 0.1
             soft, soft_report = fit_on_design(*build_design(data, table), lam)
-            [(ridge, ridge_report)] = fit_path(
-                class_transforms(data.X, table)[0], y, "ridge", [lam]
+            [[(ridge, ridge_report)]] = fit_path(
+                class_transforms(data.X, table), y, "ridge", [lam]
             )
             assert np.array_equal(soft.intercepts, ridge.intercepts)
             assert np.array_equal(soft.weights, ridge.weights)

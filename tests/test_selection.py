@@ -149,6 +149,16 @@ class TestTuneAndTrain:
         assert hits >= 12  # >= 60% of seeds
         assert abs(np.mean(chosen) - 0.5) <= 0.04
 
+    def test_one_fit_path_call_per_fold(self, monkeypatch):
+        # each fold's designs, one per theta, are fitted by one call on
+        # their stack, at every alpha
+        data = _toy_binary(4, n=40)
+        grid = TuningGrid((0.2, 0.5, 0.8), (0.1, 1.0), folds=4, seed=1)
+        calls = _cv_fits(monkeypatch, data, grid)
+        assert len(calls) == 4
+        for fits in calls:
+            assert [len(per_theta) for per_theta in fits] == [2, 2, 2]
+
     def test_heldout_label_corruption_leaves_fold_models_alone(self, monkeypatch):
         # models inside fold t are fit on S minus S_t; flipping the held-out
         # fold's labels must not change them (unstratified folds so the
@@ -158,12 +168,12 @@ class TestTuneAndTrain:
         fold = make_folds(data.y, 2, False, 4)
         y_bad = data.y.copy()
         y_bad[fold == 1] = 3 - y_bad[fold == 1]
-        # CV calls fit_path once per (fold, theta), fold by fold; the
+        # CV calls fit_path once per fold, on the stack of both thetas; the
         # refit goes through eqc.binary's fit_path and is not recorded
-        recs_a = _cv_fits(monkeypatch, data, grid)[2:]
-        recs_b = _cv_fits(monkeypatch, Dataset(data.X, y_bad), grid)[2:]
-        assert len(recs_a) == len(recs_b) == 2  # fold 1, both thetas
-        for fa, fb in zip(recs_a, recs_b):
+        [_, rec_a] = _cv_fits(monkeypatch, data, grid)
+        [_, rec_b] = _cv_fits(monkeypatch, Dataset(data.X, y_bad), grid)
+        assert len(rec_a) == len(rec_b) == 2  # fold 1, both thetas
+        for fa, fb in zip(rec_a, rec_b):
             [(ca, _)], [(cb, _)] = fa, fb
             assert ca.intercepts[0] == cb.intercepts[0]
             assert np.array_equal(ca.weights, cb.weights)
