@@ -194,14 +194,14 @@ def fit_binary_eqc(
     fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
     table = estimate_quantile_table(fit_data, theta)
 
-    y12 = np.where(train.y == ids[0], 1, 2)
+    positions = np.searchsorted(ids, train.y)
     if learner == "unit-weights":
-        Z = np.empty((0, train.p))  # QC's weights are fixed: only p is read
+        Q = np.empty((1, 0, train.p))  # QC's weights are fixed: only p is read
     else:
-        if np.min(np.bincount(y12)[1:]) < 2:
+        if np.min(np.bincount(positions)) < 2:
             raise FitError("each class needs at least 2 observations")
-        [Z] = class_transforms(train.X, table, scaler)
-    [[(coef, report)]] = fit_path(Z[None], y12, learner, [alpha])
+        Q = class_transforms(train.X, table, scaler)
+    [[(coef, report)]] = fit_path(Q[None], positions, learner, [alpha])
     return FittedEqc(theta, table, coef, learner, scaler, report)
 
 

@@ -1,20 +1,19 @@
 """Metalearners over transformed features.
 
-Convex objectives on the class transforms of a design, a matrix Z (n x p)
-with labels y in {1, 2} for the binary learners:
+Convex objectives on a design: the K-1 class transforms Q (K-1, n, p) of
+`binary.class_transforms`, and the class position 0..K-1 of each label:
 
 * the softmax deviance with one shared weight vector, for any K >= 2
   classes, ridge- or lasso-penalized, minimized by the one damped Newton
   solver (proximal Newton for the lasso), which solves a stack of such
   problems in lockstep. At K = 2 it is the binomial deviance of the ridge,
-  logistic (lambda = 0), EMC and lasso learners; the multiclass-ridge fit
-  of `multiclass` uses it at any K,
+  logistic (lambda = 0), EMC and lasso learners; at K >= 3 it is the
+  multiclass-ridge learner,
 * L2-regularized linear hinge loss (a linear C-SVM), minimized exactly by
   SMO on its dual; the report carries the duality gap as a certificate.
 
-The intercepts are never penalized. Labels enter the binomial losses as
-y - 1 in {0, 1} and the hinge loss through the margin labels
-2(y - 1) - 1 in {-1, +1}.
+The intercepts are never penalized. The hinge loss takes labels y in
+{1, 2} (y - 1 is the class position) and margin labels 2(y - 1) - 1.
 """
 
 from __future__ import annotations
@@ -397,20 +396,22 @@ def _l1_newton_step(H, g, x, m, t):
     return np.array(z) - x
 
 
-def _binomial_newton(Z, y01, lam, X0=None, l1=0.0):
-    """The Newton solver at K = 2 on a (B, n, p) stack of designs Z that
-    share the labels y01 in {0, 1}: ridge (lam > 0), logistic (lam = 0) or,
-    with l1 > 0 and lam = 0, the lasso. Returns _softmax_newton's
-    (B, 1 + p) solutions and reports.
+def _newton(Q, positions, lam, X0=None, l1=0.0):
+    """The Newton solver on a (B, m, n, p) stack of designs Q that share the
+    class positions 0..m (fit_path), lam and l1: ridge (lam > 0), logistic
+    (lam = 0, m = 1) or, with l1 > 0 and lam = 0, the lasso (m = 1).
+    Returns _softmax_newton's (B, m + p) solutions and reports.
 
     At lam = 0 without l1 a fit whose every training margin is positive has
     found a separating hyperplane, a certificate that no minimizer exists
     (Albert & Anderson 1984), and reports converged=False whatever its
     gradient norm.
     """
-    X, reports = _softmax_newton(Z[:, None], (1.0 - y01)[None], lam, X0, l1)
+    m = Q.shape[1]
+    Y = (positions == np.arange(m)[:, None]).astype(float)
+    X, reports = _softmax_newton(Q, Y, lam, X0, l1)
     if lam == 0 and not l1:
-        margins = (2.0 * y01 - 1.0) * (X[:, :1] + np.matmul(Z, X[:, 1:, None])[:, :, 0])
+        margins = (2.0 * positions - 1.0) * (X[:, :1] + (Q[:, 0] @ X[:, 1:, None])[:, :, 0])
         for i in np.flatnonzero(np.all(margins > 0.0, axis=1)):
             reports[i] = replace(reports[i], converged=False)
     return X, reports
@@ -418,38 +419,38 @@ def _binomial_newton(Z, y01, lam, X0=None, l1=0.0):
 
 def _fit_logistic_newton(
     Z: np.ndarray,
-    y01: np.ndarray,
+    positions: np.ndarray,
     lam: float,
     keep: np.ndarray,
     x0: np.ndarray | None = None,
 ) -> tuple[Coefficients, SolverReport]:
-    """The Newton solver at K = 2 on one design: ridge on Z and y01 in
-    {0, 1}; lam may be 0, and a separated fit then reports converged=False
-    (_binomial_newton).
+    """The Newton solver at K = 2 on one design: ridge on Z (n, p) and the
+    class positions y - 1 in {0, 1}; lam may be 0, and a separated fit then
+    reports converged=False (_newton).
 
     keep marks the columns of the full design that Z holds; the weights
-    come back zero-filled to its width. An entry of its own, apart from
-    multiclass.fit_on_design and _fit_lasso_prox, because the benchmark
-    traces the three as separate layers.
+    come back zero-filled to its width. fit_path's solve of a group of one
+    at K = 2, an entry of its own because the benchmark traces it apart
+    from _fit_lasso_prox and multiclass.fit_on_design.
     """
-    X, [report] = _binomial_newton(Z[None], y01, lam, None if x0 is None else x0[None])
+    X, [report] = _newton(Z[None, None], positions, lam, None if x0 is None else x0[None])
     return _zero_filled(X[0], keep), report
 
 
 def _fit_lasso_prox(
     Z: np.ndarray,
-    y01: np.ndarray,
+    positions: np.ndarray,
     lam: float,
     keep: np.ndarray,
     x0: np.ndarray | None = None,
 ) -> tuple[Coefficients, SolverReport]:
     """The Newton solver at K = 2 on one design with the lasso penalty
-    (lam/2)||w||_1; keep as in _fit_logistic_newton.
+    (lam/2)||w||_1; positions and keep as in _fit_logistic_newton.
 
     Named apart from _fit_logistic_newton because the benchmark traces the
     lasso solves as a layer of their own.
     """
-    X, [report] = _binomial_newton(Z[None], y01, 0.0, None if x0 is None else x0[None], l1=lam)
+    X, [report] = _newton(Z[None, None], positions, 0.0, None if x0 is None else x0[None], l1=lam)
     return _zero_filled(X[0], keep), report
 
 
@@ -570,74 +571,83 @@ def fit_linear_svm(Z, y, cost: float) -> tuple[Coefficients, SolverReport]:
     return coef, SolverReport(primal, updates, converged, primal - dual)
 
 
-def fit_path(Z, y, learner: str, alphas) -> list[list[tuple[Coefficients, SolverReport | None]]]:
+def fit_path(Q, positions, learner: str,
+             alphas) -> list[list[tuple[Coefficients, SolverReport | None]]]:
     """Fit one learner at every alpha of a grid on each design of a stack;
-    the one fit for CV and refit.
+    the one fit for CV and refit, at every class count K.
 
-    Z is a (B, n, p) stack of designs that share the labels y and the grid:
-    the B thetas of one CV fold, or B = 1. learner is 'ridge' or 'lasso'
-    (alpha is the penalty lambda), 'hinge' (alpha is the cost), 'logistic'
-    (unregularized; alpha is ignored) or 'unit-weights' (QC: intercept 0
-    and unit weights, no solve and no report; only the width of Z is read).
-    Columns of a design that are constant are dropped before solving and
-    get weight exactly 0; with the intercept unpenalized this is the exact
-    optimum, not an approximation. Ridge and lasso run from the largest
-    lambda down, each solve warm-started from the one before; the other
-    solves start cold. A separated logistic fit reports converged=False
-    (_binomial_newton).
+    Q is a (B, m, n, p) stack of designs, each the m = K - 1 class
+    transforms of one theta: the B thetas of one CV fold, or B = 1. They
+    share the grid and the labels, given as the class positions 0..m of
+    multiclass.build_design (y - 1 at K = 2). learner is 'ridge' (alpha is
+    the penalty lambda), or at K = 2 only 'lasso' (alpha is lambda),
+    'hinge' (alpha is the cost), 'logistic' (unregularized; alpha is
+    ignored) or 'unit-weights' (QC: intercept 0 and unit weights, no solve
+    and no report; only the width of Q is read). Columns constant in every
+    class transform of a design are dropped before solving and get weight
+    exactly 0; with the intercepts unpenalized this is the exact optimum,
+    not an approximation. Ridge and lasso run from the largest lambda down,
+    each solve warm-started from the one before; the other solves start
+    cold. A separated logistic fit reports converged=False (_newton).
 
-    Designs with the same constant columns form a group. A group's Newton
+    Designs with the same dropped columns form a group. A group's Newton
     solves at each alpha (ridge, lasso, logistic) are one stacked solve of
-    _softmax_newton, whose every problem equals its solve on its own bit
-    for bit; a group of one goes through the one-problem entries
+    _newton, whose every problem equals its solve on its own bit for bit;
+    at K = 2 a group of one goes through the one-problem entries
     _fit_logistic_newton and _fit_lasso_prox instead (the benchmark traces
-    them), and hinge solves design by design. So the result is the same whatever the stack, and a
-    stack of B designs holds B (n p + (p + 1)^2) floats while it solves.
-    Returns, per design, one (Coefficients, SolverReport) per alpha, in
-    grid order.
+    them), and hinge solves design by design. So the result is the same
+    whatever the stack, and a stack of B designs holds
+    B (m n p + (m + p)^2) floats while it solves. Returns, per design, one
+    (Coefficients, SolverReport) per alpha, in grid order.
     """
     if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
         raise DomainError(f"unknown learner {learner!r}")
-    if np.ndim(Z) != 3 or len(Z) == 0:
-        raise DomainError("Z must be a non-empty (B, n, p) stack of designs")
+    if np.ndim(Q) != 4 or 0 in np.shape(Q)[:2]:
+        raise DomainError("Q must be a (B, m, n, p) stack of B >= 1 designs, m >= 1")
+    B, m, n, p = np.shape(Q)
+    if m > 1 and learner != "ridge":
+        raise DomainError(f"{learner} fits two classes only")
     alphas = np.asarray(alphas, dtype=float)
     if learner == "unit-weights":
-        return [[(Coefficients(0.0, np.ones(np.shape(Z)[2])), None)] * alphas.size
-                for _ in range(len(Z))]
+        return [[(Coefficients(0.0, np.ones(p)), None)] * alphas.size for _ in range(B)]
     if learner != "logistic" and not np.all(np.isfinite(alphas) & (alphas > 0)):
         raise DomainError("every alpha must be positive and finite")
-    Z = np.asarray(Z, dtype=float)
-    _, y = _check_design(Z[0], y)
-    _require_both_labels(y)
-    y01 = (y - 1).astype(float)
-    keeps = [~degenerate_columns(Zi) for Zi in Z]
+    positions = np.asarray(positions)
+    if (positions.shape != (n,) or positions.dtype.kind not in "iu"
+            or np.any((positions < 0) | (positions > m))):
+        raise DomainError(f"positions must be {n} integers in 0..{m}")
+    if np.count_nonzero(np.bincount(positions, minlength=m + 1)) <= m:
+        raise FitError("every class must be present to fit a metalearner")
+    Q = np.asarray(Q, dtype=float)
+    keeps = ~degenerate_columns(Q).all(axis=1)
     groups: dict[bytes, list[int]] = {}
     for i, keep in enumerate(keeps):
         groups.setdefault(keep.tobytes(), []).append(i)
-    fits = [[None] * alphas.size for _ in range(len(Z))]
+    fits = [[None] * alphas.size for _ in range(B)]
     for members in groups.values():
         keep = keeps[members[0]]
-        Zg = np.compress(keep, Z[members], axis=2)
+        Qg = np.compress(keep, Q[members], axis=3)
         X = None  # the group's solutions at the last alpha, the warm start
         for a in np.argsort(alphas)[::-1]:
             warm = X if learner in ("ridge", "lasso") else None
             if learner == "hinge":
-                for i, Zi in zip(members, Zg):
-                    coef, report = fit_linear_svm(Zi, y, alphas[a])
+                for i, Zi in zip(members, Qg[:, 0]):
+                    coef, report = fit_linear_svm(Zi, positions + 1, alphas[a])
                     fits[i][a] = (_zero_filled(np.append(coef.intercepts, coef.weights), keep),
                                   report)
                 continue
             lam = 0.0 if learner == "logistic" else alphas[a]
-            if len(members) == 1:
+            if len(members) == 1 and m == 1:
                 entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton
-                coef, report = entry(Zg[0], y01, lam, keep, None if warm is None else warm[0])
+                coef, report = entry(Qg[0, 0], positions, lam, keep,
+                                     None if warm is None else warm[0])
                 fits[members[0]][a] = (coef, report)
                 X = np.append(coef.intercepts, coef.weights[keep])[None]
                 continue
             if learner == "lasso":
-                X, reports = _binomial_newton(Zg, y01, 0.0, warm, l1=lam)
+                X, reports = _newton(Qg, positions, 0.0, warm, l1=lam)
             else:
-                X, reports = _binomial_newton(Zg, y01, lam, warm)
+                X, reports = _newton(Qg, positions, lam, warm)
             for i, x, report in zip(members, X, reports):
-                fits[i][a] = (_zero_filled(x, keep), report)
+                fits[i][a] = (_zero_filled(x, keep, m), report)
     return fits

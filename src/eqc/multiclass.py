@@ -6,8 +6,8 @@ scores S_k = b_k + w . Q^{(k,K)}(x) against the reference and has logit
 -S_k. The design is the stack Q of the K-1 transforms that
 `binary.class_transforms` returns, with the position of each label among
 the class ids. The fit minimizes the mean negative log-likelihood plus
-(lam/2)||w||^2 (intercepts unpenalized) with the one damped Newton solver
-of `metalearners`, the one the binary ridge and logistic learners use.
+(lam/2)||w||^2 (intercepts unpenalized): it is the ridge learner of
+`metalearners.fit_path`, fitted on a CV fold's stack of designs or on one.
 
 The fit is a FittedEqc of kind 'multiclass-ridge' for any K >= 2. It
 scores and labels by the rule of `binary`: the logits are [-S | 0], so
@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, FitError
-from .metalearners import Coefficients, SolverReport, _softmax_newton, _zero_filled
-from .quantiles import QuantileParams, QuantileTable, degenerate_columns, estimate_quantile_table
+from .metalearners import Coefficients, SolverReport, fit_path
+from .quantiles import QuantileParams, QuantileTable, estimate_quantile_table
 from .binary import (
     FittedEqc,
     VariableScaling,
@@ -44,27 +44,22 @@ def build_design(data: Dataset, table: QuantileTable,
     ids = table.class_ids
     if not np.all(np.isin(data.y, ids)):
         raise DomainError("data contains labels missing from the table")
-    positions = np.argmax(data.y[:, None] == ids[None, :], axis=1)
+    positions = np.searchsorted(ids, data.y)
     return class_transforms(data.X, table, scaling), positions
 
 
 def fit_on_design(Q: np.ndarray, positions: np.ndarray,
                   lam: float) -> tuple[Coefficients, SolverReport]:
-    """Fit the softmax to the design (Q, positions) by the Newton solver.
+    """Fit the softmax to the design (Q, positions): metalearners.fit_path's
+    ridge fit at lam (positive and finite) on this one design.
 
-    The report holds the penalized mean negative log-likelihood. Columns
-    that are constant within every class transform can only shift the
-    intercepts; they are dropped for the solve and get weight exactly 0,
-    as in metalearners.fit_path, so at K = 2 this is the ridge fit of
-    fit_path on the one transform. An entry of its own because the
+    The report holds the penalized mean negative log-likelihood; columns
+    constant within every class transform get weight exactly 0; at K = 2
+    this is the binary ridge fit. A function of its own only because the
     benchmark traces it apart from metalearners._fit_logistic_newton.
     """
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    keep = ~np.all([degenerate_columns(Qk) for Qk in Q], axis=0)
-    Y = (positions == np.arange(Q.shape[0])[:, None]).astype(float)
-    X, [report] = _softmax_newton(Q[None, :, :, keep], Y, lam)
-    return _zero_filled(X[0], keep, Q.shape[0]), report
+    [[fit]] = fit_path(Q[None], positions, "ridge", [lam])
+    return fit
 
 
 def fit_multiclass_eqc(

@@ -169,13 +169,10 @@ def quantile_difference_transform(x, table: QuantileTable, k1: int, k2: int):
 
 
 def degenerate_columns(Z: np.ndarray) -> np.ndarray:
-    """Boolean mask of columns with zero spread (constant on this data).
+    """Mask (..., p) of the columns of Z (..., n, p) constant over the n rows.
 
     Transformed features are frequently constant when a variable's sample
     lies entirely in one tail of the transform; solvers drop them and
     report zero weights.
     """
-    Z = np.asarray(Z)
-    if Z.shape[0] == 0:
-        return np.zeros(Z.shape[1], dtype=bool)
-    return np.ptp(Z, axis=0) == 0.0
+    return np.ptp(Z, axis=-2) == 0.0

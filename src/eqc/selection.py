@@ -2,9 +2,9 @@
 
 For every fold and every theta, class quantiles are estimated on the
 training part only (no leakage), the held-out part is transformed with
-that table, and the metalearner is fitted and scored at every alpha; a
-binary learner is fitted at every (theta, alpha) of the fold by one
-fit_path call on the stack of the fold's training designs. The
+that table, and the metalearner is fitted and scored at every alpha:
+every learner, multiclass-ridge too, at every (theta, alpha) of the fold
+by one fit_path call on the stack of the fold's training designs. The
 (theta, alpha) cell with the lowest mean misclassification wins and the
 model is refit on the full data. Cells whose fold-mean errors are equal
 up to floating-point rounding are tied; ties prefer stronger
@@ -21,7 +21,7 @@ from .binary import class_transforms, compute_scaling, fit_binary_eqc, labels_fr
 from .data import Dataset
 from .errors import DomainError, TuningError
 from .metalearners import fit_path
-from .multiclass import build_design, fit_multiclass_eqc, fit_on_design
+from .multiclass import fit_multiclass_eqc
 from .quantiles import QuantileParams, estimate_quantile_table
 
 LEARNERS = ("ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge")
@@ -139,29 +139,23 @@ def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> 
     """Errors (H, A) for one fold; scaling and quantiles come from tr only.
 
     Per theta, both parts are turned into features once (the training part
-    not for unit-weights, whose weights are fixed). A binary learner is
-    then fitted at every (theta, alpha) by one fit_path call on the stack
-    of the fold's training designs; multiclass-ridge is fitted per
-    (theta, alpha). Each fit is scored by the scores and the label rule its
-    refit model predicts with.
+    not for unit-weights, whose weights are fixed). The learner is then
+    fitted at every (theta, alpha) by one fit_path call on the stack of the
+    fold's training designs, multiclass-ridge as fit_path's ridge at any K.
+    Each fit is scored by the scores and the label rule its refit model
+    predicts with.
     """
     errs = np.full((len(thetas), len(alphas)), np.nan)
     scaler = compute_scaling(tr.X, scaling) if scaling is not None else None
     tr_scaled = tr if scaler is None else Dataset(scaler.apply(tr.X), tr.y)
     tables = [estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
               for th in thetas]
-    if learner == "multiclass-ridge":
-        fits = []
-        for table in tables:
-            Q, positions = build_design(tr, table, scaler)
-            fits.append([fit_on_design(Q, positions, al) for al in alphas])
+    if learner == "unit-weights":  # QC's weights are fixed: only p is read
+        Q = np.empty((len(tables), 1, 0, tr.p))
     else:
-        y12 = np.where(tr.y == tr.class_ids[0], 1, 2)
-        if learner == "unit-weights":  # QC's weights are fixed: only p is read
-            Z = np.empty((len(tables), 0, tr.p))
-        else:
-            Z = np.concatenate([class_transforms(tr.X, table, scaler) for table in tables])
-        fits = fit_path(Z, y12, learner, alphas)
+        Q = np.stack([class_transforms(tr.X, table, scaler) for table in tables])
+    positions = np.searchsorted(tr.class_ids, tr.y)
+    fits = fit_path(Q, positions, "ridge" if learner == "multiclass-ridge" else learner, alphas)
     for h, table in enumerate(tables):
         Q_te = class_transforms(te.X, table, scaler)
         for a, (coef, _) in enumerate(fits[h]):

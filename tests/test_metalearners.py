@@ -142,7 +142,7 @@ class TestRidgeNewton:
     def test_all_zero_design_balanced(self):
         Z = np.zeros((10, 2))
         y = np.array([1, 2] * 5)
-        [[(coef, report)]] = fit_path(Z[None], y, "ridge", [0.5])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "ridge", [0.5])
         assert report.converged
         assert coef.intercepts[0] == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(coef.weights, 0.0, atol=1e-9)
@@ -154,7 +154,7 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         lam = 0.1
         pen = ("ridge", lam)
-        [[(coef, report)]] = fit_path(Z[None], y, "ridge", [lam])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "ridge", [lam])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
         # every point of the 41^3 grid at once; the best is re-scored below
@@ -207,7 +207,7 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         norms = []
         for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
-            [[(coef, _)]] = fit_path(Z[None], y, "ridge", [lam])
+            [[(coef, _)]] = fit_path(Z[None, None], y - 1, "ridge", [lam])
             norms.append(np.linalg.norm(coef.weights))
         # heavier penalty never grows the optimum's weight norm
         assert np.all(np.diff(norms) <= 1e-8)
@@ -220,34 +220,38 @@ class TestRidgeNewton:
         # a one-step budget cannot reach the 1e-8 (sub)gradient tolerance
         monkeypatch.setattr(metalearners, "MAX_ITER", 1)
         for kind in ("ridge", "lasso"):
-            [[(coef, report)]] = fit_path(Z[None], y, kind, [0.01])
+            [[(coef, report)]] = fit_path(Z[None, None], y - 1, kind, [0.01])
             assert not report.converged
             assert np.isfinite(coef.weights).all()
             assert report.iterations == 1
             assert report.grad_norm_at_exit > 1e-8
 
 
-def _fold_stack(family="t3", n=60, p=8, seed=0, thetas=None, counts=False):
+def _fold_stack(family="t3", n=60, p=8, seed=0, thetas=None, counts=False, K=2):
     """One CV fold's training designs, one per theta, stacked as fit_path
-    takes them, and their labels."""
+    takes them, and the class positions of their labels."""
     if counts:  # count data full of zeros and ties, as in a term matrix
         rng = _rng(seed)
         y = np.repeat([1, 2], n // 2)
         X = rng.poisson(np.where(y[:, None] == 1, 0.4, 0.9), (n, p)).astype(float)
         data = Dataset(X, y)
-    else:
+    elif K == 2:
         data = generate(ScenarioSpec(family, n, p, seed=seed), 2).train
+    else:  # K classes of t3 draws, class k shifted by 0.5 (k - 1) on every column
+        rng = _rng(seed)
+        y = np.repeat(np.arange(1, K + 1), n // K)
+        data = Dataset(rng.standard_t(3, (y.size, p)) + 0.5 * (y[:, None] - 1), y)
     thetas = np.round(np.arange(0.05, 0.951, 0.05), 2) if thetas is None else thetas
     tables = [estimate_quantile_table(data, QuantileParams.common(th, p)) for th in thetas]
-    return np.concatenate([class_transforms(data.X, t) for t in tables]), data.y
+    return np.stack([class_transforms(data.X, t) for t in tables]), data.y - 1
 
 
-def _stack_equals_one_at_a_time(Z, y, learner, alphas):
+def _stack_equals_one_at_a_time(Z, positions, learner, alphas):
     """fit_path on the stack Z, after checking that every design's fits,
     coefficients and reports equal bit for bit those of its own call."""
-    stacked = fit_path(Z, y, learner, alphas)
+    stacked = fit_path(Z, positions, learner, alphas)
     for Zi, fits in zip(Z, stacked):
-        [alone] = fit_path(Zi[None], y, learner, alphas)
+        [alone] = fit_path(Zi[None], positions, learner, alphas)
         for (c, r), (c1, r1) in zip(fits, alone):
             assert np.array_equal(c.intercepts, c1.intercepts)
             assert np.array_equal(c.weights, c1.weights)
@@ -255,8 +259,9 @@ def _stack_equals_one_at_a_time(Z, y, learner, alphas):
     return stacked
 
 
-def _masks(Z):
-    return {(~degenerate_columns(Zi)).tobytes() for Zi in Z}
+def _mask(Zi):
+    """The columns of design Zi (m, n, p) that fit_path keeps, as bytes."""
+    return (~degenerate_columns(Zi).all(axis=0)).tobytes()
 
 
 class TestStackedNewton:
@@ -267,11 +272,15 @@ class TestStackedNewton:
         ("ridge", [3.0, 0.1, 0.003]),
         ("lasso", [0.1, 0.01]),
         ("logistic", [np.nan]),
+        ("multiclass-ridge", [3.0, 0.1, 0.003]),  # fit_path's ridge at K = 3
     ])
     def test_stack_equals_one_at_a_time(self, learner, alphas):
-        Z, y = _fold_stack()
-        assert len(_masks(Z)) < len(Z)  # some designs do share a stack
-        stacked = _stack_equals_one_at_a_time(Z, y, learner, alphas)
+        K = 3 if learner == "multiclass-ridge" else 2
+        Z, pos = _fold_stack(K=K)
+        assert Z.shape[1] == K - 1
+        assert len({_mask(Zi) for Zi in Z}) < len(Z)  # some designs do share a stack
+        learner = "ridge" if K == 3 else learner
+        stacked = _stack_equals_one_at_a_time(Z, pos, learner, alphas)
         iterations = {r.iterations for fits in stacked for _, r in fits}
         assert len(iterations) > 1  # the designs stop at different steps
 
@@ -282,17 +291,17 @@ class TestStackedNewton:
         Z = noise.copy()
         Z[0, :, 0] = (2.0 * y - 3.0) + 0.1 * noise[0, :, 0]  # separates the classes
         assert _strictly_separable(Z[0], y) and not _strictly_separable(Z[1], y)
-        stacked = _stack_equals_one_at_a_time(Z, y, "logistic", [np.nan])
+        stacked = _stack_equals_one_at_a_time(Z[:, None], y - 1, "logistic", [np.nan])
         converged = [fits[0][1].converged for fits in stacked]
         assert converged == [False, True, True]  # the certificate is per design
 
     def test_budget_ends_some_designs(self, monkeypatch):
-        Z, y = _fold_stack(seed=3)
-        full = [fits[0][1].iterations for fits in fit_path(Z, y, "logistic", [np.nan])]
+        Z, pos = _fold_stack(seed=3)
+        full = [fits[0][1].iterations for fits in fit_path(Z, pos, "logistic", [np.nan])]
         budget = (min(full) + max(full)) // 2
         assert min(full) < budget < max(full)
         monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-        stacked = _stack_equals_one_at_a_time(Z, y, "logistic", [np.nan])
+        stacked = _stack_equals_one_at_a_time(Z, pos, "logistic", [np.nan])
         ended = [fits[0][1] for fits in stacked]
         assert any(r.converged for r in ended)
         assert any(not r.converged and r.iterations == budget for r in ended)
@@ -320,11 +329,35 @@ class TestStackedNewton:
 
     @pytest.mark.parametrize("learner", ["ridge", "lasso"])
     def test_count_data_with_two_column_masks(self, learner):
-        Z, y = _fold_stack(n=40, p=6, counts=True, thetas=[0.1, 0.3, 0.5, 0.5, 0.7, 0.9])
-        masks = [(~degenerate_columns(Zi)).tobytes() for Zi in Z]
+        Z, pos = _fold_stack(n=40, p=6, counts=True, thetas=[0.1, 0.3, 0.5, 0.5, 0.7, 0.9])
+        masks = [_mask(Zi) for Zi in Z]
         assert len(set(masks)) >= 2
         assert max(masks.count(m) for m in masks) >= 2
-        _stack_equals_one_at_a_time(Z, y, learner, [1.0, 0.05])
+        _stack_equals_one_at_a_time(Z, pos, learner, [1.0, 0.05])
+
+    @pytest.mark.parametrize("learner", ["lasso", "hinge", "logistic", "unit-weights"])
+    def test_two_class_learners_reject_more_classes(self, learner):
+        Z, pos = _fold_stack(K=3, thetas=[0.5])
+        with pytest.raises(DomainError):
+            fit_path(Z, pos, learner, [0.1])
+
+    def test_column_dropped_only_when_constant_in_every_transform(self):
+        # K = 3: column 1 is constant in the first class transform only,
+        # column 2 in both; only column 2 is dropped, and the fit on the
+        # other columns is the fit without column 2, bit for bit
+        rng = _rng(53)
+        pos = np.repeat([0, 1, 2], 20)
+        Q = rng.standard_normal((2, 60, 4)) + 0.7 * (pos == np.arange(2)[:, None])[:, :, None]
+        Q[0, :, 1] = 0.25
+        Q[:, :, 2] = [[-0.5], [1.5]]
+        [[(coef, report)]] = fit_path(Q[None], pos, "ridge", [0.1])
+        assert report.converged
+        assert coef.weights[1] != 0.0 and coef.weights[2] == 0.0
+        [[(without, without_report)]] = fit_path(Q[None][..., [0, 1, 3]], pos, "ridge", [0.1])
+        assert np.array_equal(coef.intercepts, without.intercepts)
+        assert np.array_equal(coef.weights[[0, 1, 3]], without.weights)
+        assert report == without_report
+
 
 
 class TestRoundingLevelArmijo:
@@ -341,7 +374,7 @@ class TestRoundingLevelArmijo:
         Z = class_transforms(tr.X, table)
         lam = DEFAULT_ALPHA_GRID[11]
         assert lam == pytest.approx(5.18, abs=0.01)
-        [fits] = fit_path(Z, tr.y, "ridge", DEFAULT_ALPHA_GRID[11:])
+        [fits] = fit_path(Z[None], tr.y - 1, "ridge", DEFAULT_ALPHA_GRID[11:])
         coef, report = fits[0]
         assert report.converged and report.iterations <= 10
         # both objectives are the optimum up to the rounding of f
@@ -369,7 +402,7 @@ class TestSigmoidOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, np.ones(1, bool))
-            [[(ridge, _)]] = fit_path(Z[None], y, "ridge", [1e-12])
+            [[(ridge, _)]] = fit_path(Z[None, None], y - 1, "ridge", [1e-12])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
@@ -411,7 +444,7 @@ class TestLogisticSeparation:
     ])
     def test_separable_reports_not_converged(self, Z, y):
         assert _strictly_separable(Z, y)
-        [[(coef, report)]] = fit_path(Z[None], y, "logistic", [np.nan])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
         assert not report.converged
         s = 2.0 * (y - 1.0) - 1.0
         assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
@@ -424,7 +457,7 @@ class TestLogisticSeparation:
     def test_overlapping_t3_unchanged(self, seed):
         Z, y = _t3_design(5, seed)
         assert not _strictly_separable(Z, y)
-        [[(coef, report)]] = fit_path(Z[None], y, "logistic", [np.nan])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
         # the solve fit_path makes, on the same copy of the columns
         keep = ~degenerate_columns(Z)
         plain, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0, keep)
@@ -468,7 +501,7 @@ class TestLassoProx:
         y = np.where(Z[:, 0] - 0.5 * Z[:, 1] + rng.standard_normal(n) > 0, 2, 1)
         y[:2] = [1, 2]
         pen = ("lasso", lam)
-        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
         referee = binomial_loss(_lasso_referee(Z, y, lam), pen, Z, y)
         assert binomial_loss(coef, pen, Z, y) <= referee + 1e-9
         assert report.converged
@@ -483,7 +516,7 @@ class TestLassoProx:
         data = generate(spec, 2).train
         table = estimate_quantile_table(data, QuantileParams.common(0.05, 50))
         Z = class_transforms(data.X, table)[0]
-        [fits] = fit_path(Z[None], data.y, "lasso", [3.0, 0.1, 0.003])
+        [fits] = fit_path(Z[None, None], data.y - 1, "lasso", [3.0, 0.1, 0.003])
         for _, report in fits:
             assert report.converged
             assert report.grad_norm_at_exit <= 1e-8
@@ -502,7 +535,7 @@ class TestLassoProx:
         # max_j |(1/n) sum z_ij (y01_i - ybar)| <= lambda/2
         corr = np.abs(Z.T @ (y01 - y01.mean())) / len(y)
         lam = 2.0 * corr.max() * 1.0001
-        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
         assert report.converged
         assert np.all(coef.weights == 0.0)
 
@@ -513,7 +546,7 @@ class TestLassoProx:
         y = np.where(Z @ beta_true + 0.3 * rng.standard_normal(60) > 0, 2, 1)
         y[:2] = [1, 2]
         lam = 0.05
-        [[(coef, report)]] = fit_path(Z[None], y, "lasso", [lam])
+        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
         y01 = (y - 1).astype(float)
         c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
@@ -531,7 +564,7 @@ class TestLassoProx:
         beta_true = np.zeros(8)
         beta_true[:2] = [3.0, -3.0]
         y = np.where(Z @ beta_true > 0, 2, 1)
-        [[(coef, _)]] = fit_path(Z[None], y, "lasso", [0.1])
+        [[(coef, _)]] = fit_path(Z[None, None], y - 1, "lasso", [0.1])
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
 

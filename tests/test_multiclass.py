@@ -438,12 +438,21 @@ class TestFit:
             lam = 0.1
             soft, soft_report = fit_on_design(*build_design(data, table), lam)
             [[(ridge, ridge_report)]] = fit_path(
-                class_transforms(data.X, table), y, "ridge", [lam]
+                class_transforms(data.X, table)[None], y - 1, "ridge", [lam]
             )
             assert np.array_equal(soft.intercepts, ridge.intercepts)
             assert np.array_equal(soft.weights, ridge.weights)
             assert soft.weights[2] == 0.0
             assert soft_report == ridge_report
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+    def test_penalty_must_be_positive_and_finite(self, lam):
+        # refused before any solve: nan and inf would give a model whose
+        # final_loss is nan, and 0 (no penalty) is refused as the binary
+        # ridge refuses it
+        data, _, _ = _random_problem(26, n=45, K=3, p=4)
+        with pytest.raises(DomainError):
+            fit_multiclass_eqc(data, QuantileParams.common(0.5, 4), lam)
 
     def test_informative_variable_gets_largest_weight(self):
         rng = _rng(19)

@@ -89,8 +89,8 @@ def _toy_binary(seed=0, n=60, p=3, shift=1.0):
     return Dataset(X, y)
 
 
-def _cv_fits(monkeypatch, data, grid):
-    """The fits of every fit_path call one ridge tune_and_train makes in CV."""
+def _cv_fits(monkeypatch, data, grid, learner="ridge"):
+    """The fits of every fit_path call one tune_and_train makes in CV."""
     calls = []
 
     def recording(*args):
@@ -98,7 +98,7 @@ def _cv_fits(monkeypatch, data, grid):
         return calls[-1]
 
     monkeypatch.setattr("eqc.selection.fit_path", recording)
-    tune_and_train(data, grid, "ridge")
+    tune_and_train(data, grid, learner)
     monkeypatch.undo()
     return calls
 
@@ -151,13 +151,17 @@ class TestTuneAndTrain:
 
     def test_one_fit_path_call_per_fold(self, monkeypatch):
         # each fold's designs, one per theta, are fitted by one call on
-        # their stack, at every alpha
-        data = _toy_binary(4, n=40)
+        # their stack, at every alpha; multiclass-ridge at K = 3 too
+        y3 = np.repeat([1, 2, 3], 14)
+        three = Dataset(_rng(4).standard_normal((42, 3)) + (y3[:, None] - 1), y3)
         grid = TuningGrid((0.2, 0.5, 0.8), (0.1, 1.0), folds=4, seed=1)
-        calls = _cv_fits(monkeypatch, data, grid)
-        assert len(calls) == 4
-        for fits in calls:
-            assert [len(per_theta) for per_theta in fits] == [2, 2, 2]
+        for learner, data, K in (("ridge", _toy_binary(4, n=40), 2),
+                                 ("multiclass-ridge", three, 3)):
+            calls = _cv_fits(monkeypatch, data, grid, learner)
+            assert len(calls) == 4
+            for fits in calls:
+                assert [len(per_theta) for per_theta in fits] == [2, 2, 2]
+                assert {coef.n_classes for per_theta in fits for coef, _ in per_theta} == {K}
 
     def test_heldout_label_corruption_leaves_fold_models_alone(self, monkeypatch):
         # models inside fold t are fit on S minus S_t; flipping the held-out
@@ -251,8 +255,9 @@ class TestFittedModelPredictsAsScored:
     # refit one fold's training part at one grid cell, predict its held-out
     # part: the error must be exactly the one CV recorded for that cell.
     # Off-centre columns on scales 1..1000 make the scaling matter (each
-    # "sd" case fails if predict skips it); ridge and lasso use the largest
-    # lambda, where their path starts cold, small enough to keep weights.
+    # "sd" case fails if predict skips it); ridge, lasso and multiclass-ridge
+    # use the largest lambda, where their path starts cold, small enough to
+    # keep weights.
     @pytest.mark.parametrize("scaling", [None, "sd"])
     @pytest.mark.parametrize(
         "learner", ["ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge"]
@@ -270,7 +275,7 @@ class TestFittedModelPredictsAsScored:
         folds = make_folds(y, 3, True, 8)
         alpha_free = learner in ("logistic", "unit-weights")
         t, h = 1, 1
-        a = 2 if learner in ("ridge", "lasso") else (0 if alpha_free else 1)
+        a = 2 if learner in ("ridge", "lasso", "multiclass-ridge") else (0 if alpha_free else 1)
         tr, te = data.subset(folds != t), data.subset(folds == t)
         theta = QuantileParams.common(cv.thetas[h], data.p)
         if learner == "multiclass-ridge":
