@@ -9,8 +9,10 @@ Convex objectives on a design: the K-1 class transforms Q (K-1, n, p) of
   problems in lockstep. At K = 2 it is the binomial deviance of the ridge,
   logistic (lambda = 0), EMC and lasso learners; at K >= 3 it is the
   multiclass-ridge learner,
-* L2-regularized linear hinge loss (a linear C-SVM), minimized exactly by
-  SMO on its dual; the report carries the duality gap as a certificate.
+* L2-regularized linear hinge loss (a linear C-SVM), minimized by the one
+  primal-dual interior-point solver on its dual, which also solves a stack
+  of such problems (designs and costs) in lockstep; the report carries the
+  duality gap as a certificate.
 
 The intercepts are never penalized. The hinge loss takes labels y in
 {1, 2} (y - 1 is the class position) and margin labels 2(y - 1) - 1.
@@ -30,15 +32,21 @@ VALID_PENALTIES = ("ridge", "lasso", "hinge")
 # Solver settings, deliberately strict; the solvers read them at call time.
 # TOL is the threshold on the minimum-norm subgradient norm for Newton
 # (ridge, logistic, EMC, multiclass-ridge and lasso; the gradient norm
-# without the lasso penalty) and the maximal KKT violation of the hinge
-# dual at which SMO stops. MAX_ITER bounds the Newton steps; on n
-# observations the hinge solver may make MAX_ITER * n pair updates.
-# ARMIJO (the sufficient-decrease fraction) and BACKTRACK (the step shrink
-# factor) set the Newton line search, the lasso's too; SMO ignores them.
+# without the lasso penalty); the hinge solver stops at a duality gap of
+# TOL / 10 in hinge_loss units. MAX_ITER bounds the Newton steps and the
+# hinge interior-point steps. ARMIJO (the sufficient-decrease fraction) and
+# BACKTRACK (the step shrink factor) set the Newton line search, the
+# lasso's too; the hinge solver has no line search and ignores them.
 TOL = 1e-8
 MAX_ITER = 500
 ARMIJO = 1e-4
 BACKTRACK = 0.5
+# The working set of one lockstep hinge solve, in floats (64 MB): a larger
+# stack is solved in runs that fit it.
+HINGE_STACK_FLOATS = 1 << 23
+# Above this C max_i |z_i|^2 a hinge problem is solved in the direct form,
+# where the Woodbury form would lose its digits (see _hinge_ipm).
+WOODBURY_SCALE = 1e6
 
 
 @dataclass(frozen=True)
@@ -89,13 +97,13 @@ class SolverReport:
     coefficients: the penalized mean negative log-likelihood (Newton, every
     K, and lasso; the penalized binomial deviance at K = 2) or hinge_loss
     (hinge). iterations counts Newton steps (proximal Newton steps for the
-    lasso) or hinge pair updates; converged is True only when the stopping
-    rule, at TOL, was met within the MAX_ITER budget (and, for an
-    unpenalized Newton fit at K = 2, when the fit does not separate the
-    classes).
-    grad_norm_at_exit is the norm of the last
-    minimum-norm subgradient, the gradient itself without the lasso penalty
-    (Newton and lasso), or the duality gap in hinge_loss units (hinge).
+    lasso) or hinge interior-point steps; converged is True only when the
+    stopping rule, at TOL (TOL / 10 for the hinge gap), was met within the
+    MAX_ITER budget (and, for an unpenalized Newton fit at K = 2, when the
+    fit does not separate the classes). grad_norm_at_exit is the norm of
+    the last minimum-norm subgradient, the gradient itself without the
+    lasso penalty (Newton and lasso), or the duality gap in hinge_loss
+    units (hinge).
     """
 
     final_loss: float
@@ -482,93 +490,233 @@ def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
 
 
 def fit_linear_svm(Z, y, cost: float) -> tuple[Coefficients, SolverReport]:
-    """Exact minimizer of hinge_loss: SMO on the dual of the C-SVM.
+    """Exact minimizer of hinge_loss on one design: _hinge_ipm on a stack
+    of one.
 
     n * cost * hinge_loss is the C-SVM primal 1/2 ||w||^2 + C sum_i xi_i
-    with C = cost and an unpenalized intercept. Its dual, maximize
-    sum(alpha) - 1/2 ||sum_i alpha_i s_i z_i||^2 subject to
-    0 <= alpha <= C and s . alpha = 0 (s the margin labels), is solved by
-    SMO pair updates (Platt 1998), each pair chosen by second-order
-    working-set selection (Fan, Chen & Lin, JMLR 2005). The solve stops
-    when the maximal KKT violation m(alpha) - M(alpha) is at most TOL,
-    within a budget of MAX_ITER * n pair updates.
-    Then w = sum_i alpha_i s_i z_i, and the intercept is the midpoint of
-    the exact minimizers of the primal given w, found by sorting the n
-    hinge breakpoints. Deterministic: ties go to the lowest index.
-
-    The report holds the primal objective in hinge_loss units, the number
-    of pair updates, converged=True only when the stop rule was met
-    within the budget, and in grad_norm_at_exit the duality gap (primal
-    minus dual objective) in hinge_loss units, a bound on how far the
-    returned objective can be above the optimum. Memory is O(n^2) for
-    the Gram matrix.
+    with C = cost and an unpenalized intercept. The report holds the primal
+    objective in hinge_loss units, the number of interior-point steps,
+    converged=True only when the duality gap fell to TOL / 10 within
+    MAX_ITER steps, and in grad_norm_at_exit that gap (primal minus dual
+    objective) in hinge_loss units, a bound on how far the returned
+    objective can be above the optimum. fit_path's solve of a group of one
+    at one cost, an entry of its own because the benchmark traces it.
     """
     if not (np.isfinite(cost) and cost > 0):
         raise DomainError("cost must be positive")
     Z, y = _check_design(Z, y)
     _require_both_labels(y)
-    n = Z.shape[0]
-    s = 2.0 * (y - 1.0) - 1.0
-    pos = s > 0
-    C = float(cost)
-    K = Z @ Z.T
-    d = np.diag(K)
-    # 1 / (K_ii + K_jj - 2 K_ij): the inverse curvature of the dual along
-    # pair (i, j), floored as in LIBSVM where the pair is flat
-    inv_curv = 1.0 / np.maximum(d[:, None] + d[None, :] - 2.0 * K, 1e-12)
+    X, [report] = _hinge_ipm(Z[None], y - 1, np.array([float(cost)]))
+    return Coefficients(X[0, 0], X[0, 1:]), report
 
-    # v = -s * (gradient of 1/2 a'Qa - sum(a)). Moving alpha_i by +s_i t and
-    # alpha_j by -s_j t keeps s . alpha = 0 and raises the dual at rate
-    # v_i - v_j. off_up is 0 where alpha_i can move by +s_i (I_up: s = +1
-    # below C, s = -1 above 0) and -inf elsewhere; off_low is 0 where alpha_j
-    # can move by -s_j (I_low) and +inf elsewhere.
-    v = s.copy()
-    off_up = np.where(pos, 0.0, -np.inf)
-    off_low = np.where(pos, np.inf, 0.0)
-    alpha = [0.0] * n
-    is_pos = pos.tolist()
-    budget = MAX_ITER * n
-    updates = 0
-    converged = False
-    while True:
-        v_up = v + off_up
-        i = int(v_up.argmax())
-        rise = float(v_up[i]) - (v + off_low)  # m(alpha) - v_j on I_low
-        if rise.max() <= TOL:  # m(alpha) - M(alpha)
-            converged = True
-            break
-        if updates == budget:
-            break
-        gain = np.maximum(rise, 0.0)
-        gain *= gain
-        gain *= inv_curv[i]
-        j = int(gain.argmax())
-        room_i = C - alpha[i] if is_pos[i] else alpha[i]
-        room_j = alpha[j] if is_pos[j] else C - alpha[j]
-        t = min(float(rise[j] * inv_curv[i, j]), room_i, room_j)
-        # written from the far bound so that t = room lands exactly on it
-        alpha[i] = C - (room_i - t) if is_pos[i] else room_i - t
-        alpha[j] = room_j - t if is_pos[j] else C - (room_j - t)
-        for k in (i, j):
-            at_c, at_0 = alpha[k] == C, alpha[k] == 0.0
-            off_up[k] = -np.inf if (at_c if is_pos[k] else at_0) else 0.0
-            off_low[k] = np.inf if (at_0 if is_pos[k] else at_c) else 0.0
-        v -= t * (K[i] - K[j])
-        updates += 1
 
-    alpha = np.array(alpha)
-    w = Z.T @ (alpha * s)
-    u = Z @ w
-    # the primal in b is convex piecewise linear with slope -n_pos + (number
-    # of breakpoints s_i - u_i below b), so it is flat between the n_pos-th
-    # and (n_pos+1)-th breakpoints
-    n_pos = int(np.count_nonzero(pos))
-    bp = np.sort(s - u)
-    b = 0.5 * (bp[n_pos - 1] + bp[n_pos])
-    coef = Coefficients(float(b), w)
-    primal = hinge_loss(coef, C, Z, y)
-    dual = (float(np.sum(alpha)) - 0.5 * float(w @ w)) / (n * C)
-    return coef, SolverReport(primal, updates, converged, primal - dual)
+def _hinge_ipm(Z: np.ndarray, positions: np.ndarray,
+               costs: np.ndarray) -> tuple[np.ndarray, list[SolverReport]]:
+    """Primal-dual interior-point method on a stack of C-SVM duals: every
+    design of Z (G, n, p) at every cost of costs (A,), problem g A + k
+    being design g at cost costs[k].
+
+    The class positions 0/1 (margin labels s = 2 positions - 1) are shared
+    by the stack. With the cost folded into the design, alpha = C a, the
+    dual of design Z at cost C is minimize 1/2 a'Ga - sum(a) subject to
+    0 <= a <= 1 and s . a = 0, with G = C S Z Z' S and S = diag(s): every
+    problem has the same box and the same units. The variables are a, its
+    complement t = 1 - a, kept apart so that a point near the upper bound
+    keeps its digits, the multipliers lam of a >= 0 and mu of t >= 0, and
+    beta of s . a = 0. Each step is Mehrotra's predictor-corrector from a
+    feasible, centred start. Its system D + G, D = lam / a + mu / t + 1e-8
+    diagonal, is solved in one of two forms. For p < n and
+    C max_i |z_i|^2 <= WOODBURY_SCALE it goes through the Woodbury identity
+    on the p x p matrix I / C + Z' D^-1 Z (Ferris & Munson, SIAM J. Optim.
+    2003); the 1e-8 is a proximal term there: near the optimum D^-1 of the
+    points on the margin grows like 1 / (complementarity), and without that
+    floor the Woodbury form loses the step's digits to cancellation.
+    Otherwise it is solved directly on the n x n matrix, from S Z Z' S
+    built once per design: the smaller system when p >= n, and the form
+    that still converges up to C max_i |z_i|^2 of about 1e9, where the
+    Woodbury steps stall from about 1e8. Each form takes one batched
+    np.linalg.solve per right-hand-side group, two per step: numpy has no
+    batched triangular solve that would reuse one factorization, and its
+    batched inverse costs more than both solves.
+
+    Every iterate is certified as fit_linear_svm reports: w = C Z'(s a),
+    the intercept at the midpoint of the exact minimizers of the primal
+    given w (the middle two of the sorted hinge breakpoints), and the gap
+    hinge_loss minus the dual objective. A problem stops, and leaves the
+    stack, when its gap is at most TOL / 10; after MAX_ITER steps the rest
+    stop at their best-certified iterates with converged=False. So does a
+    problem whose step is not finite (a system singular in floating point,
+    or a bound variable that underflows, both seen from C max_i |z_i|^2 of
+    about 1e9 on); that step is neither taken nor counted. The report is
+    fit_linear_svm's, with final_loss = hinge_loss at the returned
+    coefficients. Every operation acts on each problem alone, and its form
+    depends on its design and cost only, so a problem's solution and
+    report equal, bit for bit, those of its solve on its own. Each form's
+    problems are solved in runs whose working set fits HINGE_STACK_FLOATS:
+    about p (3 n + 2 p) floats a problem in the Woodbury form and
+    n (2 p + 3 n) in the direct one, its design gathered once for the run.
+    Returns the (G A, 1 + p) solutions, intercept first, and one
+    SolverReport each.
+    """
+    Z = np.ascontiguousarray(Z, dtype=float)
+    G, n, p = Z.shape
+    costs = np.asarray(costs, dtype=float)
+    s = 2.0 * np.asarray(positions) - 1.0
+    scale = np.max(np.add.reduce(Z * Z, axis=2), axis=1)[:, None] * costs  # (G, A)
+    direct = (scale > WOODBURY_SCALE) | (p >= n)
+    X = np.empty((G * costs.size, 1 + p))
+    reports: list[SolverReport | None] = [None] * (G * costs.size)
+    for form in (False, True):
+        g, k = np.nonzero(direct == form)  # member-major
+        if not g.size:
+            continue
+        used = np.flatnonzero(np.any(direct == form, axis=1))
+        Zf, design = (Z, g) if used.size == G else (Z[used], np.searchsorted(used, g))
+        gram = s[:, None] * np.matmul(Zf, Zf.transpose(0, 2, 1)) * s if form else None
+        per_problem = (n * (2 * p + 3 * n) if form else p * (3 * n + 2 * p)) + 32 * n
+        run = max(1, HINGE_STACK_FLOATS // per_problem)
+        for first in range(0, g.size, run):
+            part = slice(first, first + run)
+            ids = g[part] * costs.size + k[part]
+            X[ids], fits = _hinge_run(Zf, gram, positions, design[part], costs[k[part]])
+            for i, report in zip(ids.tolist(), fits):
+                reports[i] = report
+    return X, reports
+
+
+def _solve_each(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(M, R) on a stack, where a matrix singular in
+    floating point gets NaN instead of failing the stack: the others are
+    then solved one by one, each as a stack of one."""
+    try:
+        return np.linalg.solve(M, R)
+    except np.linalg.LinAlgError:
+        X = np.full(R.shape, np.nan)
+        for i in range(len(M)):
+            try:
+                X[i] = np.linalg.solve(M[i:i + 1], R[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+        return X
+
+
+def _hinge_run(Z: np.ndarray, gram: np.ndarray | None, positions: np.ndarray,
+               design: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, list[SolverReport]]:
+    """_hinge_ipm's lockstep solve of design Z[design[i]] at cost C[i] for
+    each i: in the direct form with gram, S Z Z' S of each design, else in
+    the Woodbury form."""
+    _, n, p = Z.shape
+    B = design.size
+    y = np.asarray(positions) + 1  # the labels hinge_loss takes
+    s = 2.0 * y - 3.0
+    n_pos = int(np.count_nonzero(s > 0))
+    half = 0.5 * min(n_pos, n - n_pos)
+    V = np.ones((B, 4, n))  # a, t, lam, mu
+    V[:, 0] = np.where(s > 0, half / n_pos, half / (n - n_pos))  # s . a = 0
+    V[:, 1] = 1.0 - V[:, 0]
+    beta = np.zeros(B)
+    best = np.full(B, np.inf)  # the smallest certified gap, its dual and solution
+    best_dual = np.zeros(B)
+    best_x = np.zeros((B, 1 + p))
+    broken = np.zeros(B, dtype=bool)  # whose last step was not finite
+    out = np.zeros((B, 1 + p))
+    reports: list[SolverReport | None] = [None] * B
+    live = np.arange(B)  # the run position of each active problem
+    Zl = Z[design]  # each live problem's design
+
+    for it in range(MAX_ITER + 1):
+        a, t, lam, mu = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
+        w = C[:, None] * np.matmul(Zl.transpose(0, 2, 1), (s * a)[:, :, None])[:, :, 0]
+        u = np.matmul(Zl, w[:, :, None])[:, :, 0]
+        penalty = np.add.reduce(w * w, axis=1) / (2.0 * n * C)
+        bp = np.sort(s - u, axis=1)
+        b = 0.5 * (bp[:, n_pos - 1] + bp[:, n_pos])
+        primal = np.add.reduce(np.maximum(0.0, 1.0 - s * (b[:, None] + u)), axis=1) / n + penalty
+        dual = np.add.reduce(a, axis=1) / n - penalty
+        gap = primal - dual
+        better = gap < best
+        if np.count_nonzero(better):
+            best[better], best_dual[better] = gap[better], dual[better]
+            best_x[better, 0], best_x[better, 1:] = b[better], w[better]
+        converged = gap <= TOL / 10
+        ending = converged | broken if it < MAX_ITER else np.ones(live.size, dtype=bool)
+        if np.count_nonzero(ending):
+            ids, flags = live.tolist(), converged.tolist()
+            for j in ending.nonzero()[0].tolist():
+                out[ids[j]] = best_x[j]
+                loss = hinge_loss(Coefficients(best_x[j, 0], best_x[j, 1:]), C[j], Zl[j], y)
+                reports[ids[j]] = SolverReport(loss, it - int(broken[j]), flags[j],
+                                               loss - float(best_dual[j]))
+            rest = ~ending
+            if not np.count_nonzero(rest):
+                return out, reports
+            live, design, C, V, beta, u, Zl, best, best_dual, best_x = (
+                v[rest] for v in (live, design, C, V, beta, u, Zl, best, best_dual, best_x))
+            a, t, lam, mu = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
+
+        # a breakdown (overflow at a bound, a singular system) shows as a
+        # step that is not finite, found below
+        with np.errstate(all="ignore"):
+            rd = s * u - 1.0 - lam + mu - beta[:, None] * s  # G a = s u
+            re = np.add.reduce(s * a, axis=1)
+            rt = (a + t) - 1.0
+            D = lam / a + mu / t + 1e-8
+            if gram is None:
+                dinv = 1.0 / D
+                ZtD = (Zl * dinv[:, :, None]).transpose(0, 2, 1)
+                M = np.matmul(ZtD, Zl)
+                M.reshape(live.size, -1)[:, :: p + 1] += 1.0 / C[:, None]
+
+                def solve(R):
+                    """(D + G)^-1 R for the columns of R (B, n, k)."""
+                    Y = _solve_each(M, np.matmul(ZtD, s[:, None] * R))
+                    return dinv[:, :, None] * (R - s[:, None] * np.matmul(Zl, Y))
+            else:
+                H = C[:, None, None] * gram[design]  # D + C S Z Z' S
+                H.reshape(live.size, -1)[:, :: n + 1] += D
+
+                def solve(R):
+                    """(D + G)^-1 R for the columns of R (B, n, k)."""
+                    return _solve_each(H, R)
+
+            def rhs(R):
+                """The reduced right-hand side for complementarity residuals R."""
+                return -rd - R[:, 0] / a + (R[:, 1] - mu * rt) / t
+
+            def direction(R, x, v):
+                """The step (B, 4, n) and its beta part, from x = (D + G)^-1 rhs(R)
+                and v = (D + G)^-1 s."""
+                dbeta = (-re - np.add.reduce(s * x, axis=1)) / np.add.reduce(s * v, axis=1)
+                dV = np.empty_like(V)
+                dV[:, 0] = x + dbeta[:, None] * v
+                dV[:, 1] = -rt - dV[:, 0]
+                dV[:, 2:] = (-R - V[:, 2:] * dV[:, :2]) / V[:, :2]
+                return dV, dbeta
+
+            def to_boundary(dV):
+                """The largest step in (0, 1] that keeps every variable >= 0."""
+                ratio = np.divide(-V, dV, out=np.full(V.shape, np.inf), where=dV < 0.0)
+                return np.minimum(1.0, ratio.reshape(-1, 4 * n).min(axis=1))[:, None, None]
+
+            products = V[:, :2] * V[:, 2:]  # a lam, t mu
+            mean_gap = np.add.reduce(products.reshape(-1, 2 * n), axis=1) / (2 * n)
+            # predictor: the affine step, solved together with v
+            X = solve(np.stack((rhs(products), np.broadcast_to(s, a.shape)), axis=2))
+            v = X[:, :, 1]
+            dV, _ = direction(products, X[:, :, 0], v)
+            ahead = V + to_boundary(dV) * dV
+            affine = np.add.reduce((ahead[:, :2] * ahead[:, 2:]).reshape(-1, 2 * n), axis=1) / (2 * n)
+            # corrector: centre toward sigma mean_gap, sigma = (affine / mean_gap)^3
+            R = products + dV[:, :2] * dV[:, 2:] - ((affine / mean_gap) ** 3 * mean_gap)[:, None, None]
+            dV, dbeta = direction(R, solve(rhs(R)[:, :, None])[:, :, 0], v)
+            step = 0.995 * to_boundary(dV)
+            V_next = V + step * dV
+            beta_next = beta + step[:, 0, 0] * dbeta
+            broken = ~np.isfinite(np.add.reduce(V_next.reshape(live.size, -1), axis=1) + beta_next)
+        if np.count_nonzero(broken):
+            V_next[broken], beta_next[broken] = V[broken], beta[broken]
+        V, beta = V_next, beta_next
+    return out, reports
 
 
 def fit_path(Q, positions, learner: str,
@@ -592,12 +740,14 @@ def fit_path(Q, positions, learner: str,
 
     Designs with the same dropped columns form a group. A group's Newton
     solves at each alpha (ridge, lasso, logistic) are one stacked solve of
-    _newton, whose every problem equals its solve on its own bit for bit;
-    at K = 2 a group of one goes through the one-problem entries
-    _fit_logistic_newton and _fit_lasso_prox instead (the benchmark traces
-    them), and hinge solves design by design. So the result is the same
-    whatever the stack, and a stack of B designs holds
-    B (m n p + (m + p)^2) floats while it solves. Returns, per design, one
+    _newton, and its hinge solves at every cost are one stacked solve of
+    _hinge_ipm; every problem of a stack equals its solve on its own bit
+    for bit. At K = 2 a group of one goes through the one-problem entries
+    instead (the benchmark traces them): _fit_logistic_newton and
+    _fit_lasso_prox at each alpha, and fit_linear_svm when the grid holds
+    one cost. So the result is the same whatever the stack, and a stack of
+    B designs holds B (m n p + (m + p)^2) floats while it solves (hinge: at
+    most HINGE_STACK_FLOATS, or one problem's). Returns, per design, one
     (Coefficients, SolverReport) per alpha, in grid order.
     """
     if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
@@ -627,15 +777,18 @@ def fit_path(Q, positions, learner: str,
     for members in groups.values():
         keep = keeps[members[0]]
         Qg = np.compress(keep, Q[members], axis=3)
+        if learner == "hinge":
+            if len(members) == 1 and alphas.size == 1:
+                coef, report = fit_linear_svm(Qg[0, 0], positions + 1, alphas[0])
+                X, reports = np.append(coef.intercepts, coef.weights)[None], [report]
+            else:  # every member at every cost, member-major
+                X, reports = _hinge_ipm(Qg[:, 0], positions, alphas)
+            for k, (x, report) in enumerate(zip(X, reports)):
+                fits[members[k // alphas.size]][k % alphas.size] = (_zero_filled(x, keep), report)
+            continue
         X = None  # the group's solutions at the last alpha, the warm start
         for a in np.argsort(alphas)[::-1]:
             warm = X if learner in ("ridge", "lasso") else None
-            if learner == "hinge":
-                for i, Zi in zip(members, Qg[:, 0]):
-                    coef, report = fit_linear_svm(Zi, positions + 1, alphas[a])
-                    fits[i][a] = (_zero_filled(np.append(coef.intercepts, coef.weights), keep),
-                                  report)
-                continue
             lam = 0.0 if learner == "logistic" else alphas[a]
             if len(members) == 1 and m == 1:
                 entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton

@@ -94,6 +94,95 @@ def _naive_hinge(coef, cost, Z, y):
     return total / n + float(np.sum(coef.weights**2)) / (2 * n * cost)
 
 
+def _smo_svm(Z, y, cost):
+    """SMO referee for fit_linear_svm: the solver eqc shipped before the
+    interior-point one, kept here as an independent check.
+
+    Pair updates (Platt 1998) on the C-SVM dual, each pair by second-order
+    working-set selection (Fan, Chen & Lin, JMLR 2005), until the maximal
+    KKT violation is at most TOL, within MAX_ITER * n pair updates. Returns the coefficients (w from alpha, the intercept at
+    the midpoint of the sorted hinge breakpoints) and a SolverReport with
+    hinge_loss, the updates, converged and the duality gap.
+    """
+    Z = np.asarray(Z, dtype=float)
+    y = np.asarray(y).astype(int)
+    n = Z.shape[0]
+    s = 2.0 * (y - 1.0) - 1.0
+    pos = s > 0
+    C = float(cost)
+    K = Z @ Z.T
+    d = np.diag(K)
+    # inverse curvature of the dual along pair (i, j), floored as in LIBSVM
+    inv_curv = 1.0 / np.maximum(d[:, None] + d[None, :] - 2.0 * K, 1e-12)
+    # v = -s * (gradient of 1/2 a'Qa - sum(a)); moving alpha_i by +s_i t and
+    # alpha_j by -s_j t keeps s . alpha = 0 and raises the dual at rate
+    # v_i - v_j; off_up / off_low mask the indices that cannot move so
+    v = s.copy()
+    off_up = np.where(pos, 0.0, -np.inf)
+    off_low = np.where(pos, np.inf, 0.0)
+    alpha = [0.0] * n
+    is_pos = pos.tolist()
+    budget = metalearners.MAX_ITER * n
+    updates = 0
+    converged = False
+    while True:
+        v_up = v + off_up
+        i = int(v_up.argmax())
+        rise = float(v_up[i]) - (v + off_low)
+        if rise.max() <= metalearners.TOL:
+            converged = True
+            break
+        if updates == budget:
+            break
+        gain = np.maximum(rise, 0.0) ** 2 * inv_curv[i]
+        j = int(gain.argmax())
+        room_i = C - alpha[i] if is_pos[i] else alpha[i]
+        room_j = alpha[j] if is_pos[j] else C - alpha[j]
+        t = min(float(rise[j] * inv_curv[i, j]), room_i, room_j)
+        # written from the far bound so that t = room lands exactly on it
+        alpha[i] = C - (room_i - t) if is_pos[i] else room_i - t
+        alpha[j] = room_j - t if is_pos[j] else C - (room_j - t)
+        for k in (i, j):
+            at_c, at_0 = alpha[k] == C, alpha[k] == 0.0
+            off_up[k] = -np.inf if (at_c if is_pos[k] else at_0) else 0.0
+            off_low[k] = np.inf if (at_0 if is_pos[k] else at_c) else 0.0
+        v -= t * (K[i] - K[j])
+        updates += 1
+    alpha = np.array(alpha)
+    w = Z.T @ (alpha * s)
+    n_pos = int(np.count_nonzero(pos))
+    bp = np.sort(s - Z @ w)
+    coef = Coefficients(0.5 * (bp[n_pos - 1] + bp[n_pos]), w)
+    primal = hinge_loss(coef, C, Z, y)
+    dual = (float(np.sum(alpha)) - 0.5 * float(w @ w)) / (n * C)
+    return coef, metalearners.SolverReport(primal, updates, converged, primal - dual)
+
+
+def _slsqp_svm(Z, y, cost):
+    """SLSQP referee for fit_linear_svm: hinge_loss at the minimizer of the
+    primal QP with slacks over (b, w, xi), in hinge_loss units:
+    min |w|^2 / (2 n cost) + mean(xi) subject to s_i (b + w . z_i) >= 1 - xi_i
+    and xi >= 0."""
+    from scipy.optimize import minimize
+
+    n, p = Z.shape
+    s = 2.0 * (y - 1.0) - 1.0
+    A = np.hstack([s[:, None], s[:, None] * Z, np.eye(n)])
+    q = 1.0 / (n * cost)
+    weight = np.concatenate([np.zeros(p + 1), np.full(n, 1.0 / n)])
+    res = minimize(
+        lambda x: 0.5 * q * x[1 : p + 1] @ x[1 : p + 1] + weight @ x,
+        np.concatenate([np.zeros(p + 1), np.ones(n)]),
+        jac=lambda x: np.concatenate([[0.0], q * x[1 : p + 1], np.zeros(n)]) + weight,
+        method="SLSQP",
+        bounds=[(None, None)] * (p + 1) + [(0.0, None)] * n,
+        constraints=[{"type": "ineq", "fun": lambda x: A @ x - 1.0, "jac": lambda x: A}],
+        options={"ftol": 1e-12, "maxiter": 2000},
+    )
+    assert res.success, res.message
+    return hinge_loss(Coefficients(res.x[0], res.x[1 : p + 1]), cost, Z, y)
+
+
 class TestBinomialLoss:
     def test_zero_coefficients_log2(self):
         coef = Coefficients(0.0, np.zeros(3))
@@ -273,6 +362,7 @@ class TestStackedNewton:
         ("lasso", [0.1, 0.01]),
         ("logistic", [np.nan]),
         ("multiclass-ridge", [3.0, 0.1, 0.003]),  # fit_path's ridge at K = 3
+        ("hinge", [0.003, 0.1, 3.0, 100.0]),  # one stack of every theta and cost
     ])
     def test_stack_equals_one_at_a_time(self, learner, alphas):
         K = 3 if learner == "multiclass-ridge" else 2
@@ -327,7 +417,7 @@ class TestStackedNewton:
         assert reports[1].iterations > reports[0].iterations
         assert not reports[2].converged and reports[2].iterations == 1
 
-    @pytest.mark.parametrize("learner", ["ridge", "lasso"])
+    @pytest.mark.parametrize("learner", ["ridge", "lasso", "hinge"])
     def test_count_data_with_two_column_masks(self, learner):
         Z, pos = _fold_stack(n=40, p=6, counts=True, thetas=[0.1, 0.3, 0.5, 0.5, 0.7, 0.9])
         masks = [_mask(Zi) for Zi in Z]
@@ -358,6 +448,81 @@ class TestStackedNewton:
         assert np.array_equal(coef.weights[[0, 1, 3]], without.weights)
         assert report == without_report
 
+
+
+class TestStackedHinge:
+    # fit_path solves a group's hinge problems, every design at every cost,
+    # in one lockstep interior-point solve; each must get exactly the fit
+    # it gets alone, and the fit of the refit's entry, fit_linear_svm
+    COSTS = [0.003, 0.1, 3.0, 100.0]
+
+    @pytest.mark.parametrize("n, p", [(60, 8), (24, 40)])  # p >= n: the direct form
+    def test_stack_equals_the_refit_entry(self, n, p):
+        # every (theta, cost) of the fold's stack equals fit_linear_svm on
+        # its design alone, as the refit at that cell solves it
+        Z, pos = _fold_stack(n=n, p=p)
+        for Zi, fits in zip(Z, fit_path(Z, pos, "hinge", self.COSTS)):
+            keep = ~degenerate_columns(Zi).all(axis=0)
+            assert (np.count_nonzero(keep) >= n) == (p >= n)
+            for (coef, report), cost in zip(fits, self.COSTS):
+                assert report.converged
+                alone, alone_report = fit_linear_svm(Zi[0][:, keep], pos + 1, cost)
+                assert np.array_equal(coef.intercepts, alone.intercepts)
+                assert np.array_equal(coef.weights[keep], alone.weights)
+                assert report == alone_report
+
+    def test_budget_ends_some_problems(self, monkeypatch):
+        Z, pos = _fold_stack(seed=3)
+        full = [r.iterations for fits in fit_path(Z, pos, "hinge", self.COSTS) for _, r in fits]
+        budget = (min(full) + max(full)) // 2
+        assert min(full) < budget < max(full)
+        monkeypatch.setattr(metalearners, "MAX_ITER", budget)
+        stacked = _stack_equals_one_at_a_time(Z, pos, "hinge", self.COSTS)
+        ended = 0
+        for Zi, fits in zip(Z, stacked):
+            keep = ~degenerate_columns(Zi).all(axis=0)
+            for (coef, report), cost in zip(fits, self.COSTS):
+                if report.converged:
+                    continue
+                ended += 1
+                # the best-certified iterate, reported as fit_linear_svm does
+                assert report.iterations == budget
+                assert report.grad_norm_at_exit > metalearners.TOL / 10
+                kept = Coefficients(coef.intercepts, coef.weights[keep])
+                Z_kept = np.compress(keep, Zi[0], axis=1)  # the C-ordered copy fit_path solves
+                assert report.final_loss == hinge_loss(kept, cost, Z_kept, pos + 1)
+        assert 0 < ended < len(full)
+
+    @pytest.mark.parametrize("n, p", [(60, 8), (24, 40)])
+    def test_runs_equal_one_stack(self, monkeypatch, n, p):
+        # a stack larger than HINGE_STACK_FLOATS is solved in runs; here
+        # one problem a run, with the fits of the whole stack
+        Z, pos = _fold_stack(n=n, p=p, thetas=[0.2, 0.5, 0.8])
+        whole = fit_path(Z, pos, "hinge", self.COSTS)
+        monkeypatch.setattr(metalearners, "HINGE_STACK_FLOATS", 1)
+        for fits, ones in zip(whole, fit_path(Z, pos, "hinge", self.COSTS)):
+            for (c, r), (c1, r1) in zip(fits, ones):
+                assert np.array_equal(c.intercepts, c1.intercepts)
+                assert np.array_equal(c.weights, c1.weights)
+                assert r == r1
+
+    def test_refit_alone_goes_through_fit_linear_svm(self, monkeypatch):
+        # the benchmark traces fit_linear_svm: a group of one at one cost
+        # (the refit) passes it, stacked CV solves do not
+        calls = []
+        entry = metalearners.fit_linear_svm
+
+        def recording(*args):
+            calls.append(args[2])
+            return entry(*args)
+
+        monkeypatch.setattr(metalearners, "fit_linear_svm", recording)
+        Z, pos = _fold_stack(thetas=[0.3, 0.5])
+        fit_path(Z, pos, "hinge", self.COSTS)
+        fit_path(Z[:1], pos, "hinge", self.COSTS)
+        assert calls == []
+        fit_path(Z[:1], pos, "hinge", [3.0])
+        assert calls == [3.0]
 
 
 class TestRoundingLevelArmijo:
@@ -650,54 +815,65 @@ class TestSvmSolver:
         assert ours <= best + 1e-3
 
     def test_not_above_slsqp_referee(self):
-        # independent referee: SLSQP on the primal QP with slacks over
-        # (b, w, xi): min 1/2 |w|^2 + cost * sum(xi)
-        # subject to s_i (b + w . z_i) >= 1 - xi_i and xi >= 0
-        from scipy.optimize import minimize
-
         rng = _rng(71)
         n, p = 20, 3
         Z = rng.standard_normal((n, p))
         y = np.where(Z[:, 0] + 0.5 * rng.standard_normal(n) > 0, 2, 1)
         y[:2] = [1, 2]
-        s = 2.0 * (y - 1.0) - 1.0
-        A = np.hstack([s[:, None], s[:, None] * Z, np.eye(n)])
-        bounds = [(None, None)] * (p + 1) + [(0.0, None)] * n
-        x0 = np.concatenate([np.zeros(p + 1), np.ones(n)])
         for cost in (0.05, 1.0, 20.0):
-            weight = np.concatenate([np.zeros(p + 1), np.full(n, cost)])
-            res = minimize(
-                lambda x: 0.5 * x[1 : p + 1] @ x[1 : p + 1] + weight @ x,
-                x0,
-                jac=lambda x: np.concatenate([[0.0], x[1 : p + 1], np.zeros(n)]) + weight,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=[{"type": "ineq", "fun": lambda x: A @ x - 1.0,
-                              "jac": lambda x: A}],
-                options={"ftol": 1e-12, "maxiter": 1000},
-            )
-            assert res.success
-            referee = hinge_loss(Coefficients(res.x[0], res.x[1 : p + 1]), cost, Z, y)
+            referee = _slsqp_svm(Z, y, cost)
             coef, report = fit_linear_svm(Z, y, cost)
             ours = hinge_loss(coef, cost, Z, y)
             assert ours <= referee + 1e-9
             assert report.converged
             assert report.final_loss == ours
             # grad_norm_at_exit is the duality gap in hinge_loss units
-            assert -1e-12 <= report.grad_norm_at_exit <= 1e-8
+            assert -1e-12 <= report.grad_norm_at_exit <= metalearners.TOL / 10
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_not_above_smo_referee(self, seed):
+        rng = _rng(seed)
+        Z = rng.standard_normal((40, 4))
+        y = np.where(Z[:, 0] - Z[:, 1] + rng.standard_normal(40) > 0, 2, 1)
+        for cost in (0.01, 0.3, 10.0):
+            smo, smo_report = _smo_svm(Z, y, cost)
+            assert smo_report.converged
+            coef, report = fit_linear_svm(Z, y, cost)
+            assert report.converged and report.grad_norm_at_exit <= metalearners.TOL / 10
+            assert hinge_loss(coef, cost, Z, y) <= hinge_loss(smo, cost, Z, y) + 1e-9
+
+    def test_converges_where_smo_ran_out(self):
+        # low-dimensional noisy data at a high cost: SMO's 500 n pair
+        # updates end short of its KKT tolerance (gap 1.6e-5 on seed 0);
+        # the interior-point solve takes a few steps whatever the cost
+        def problem(seed):
+            rng = np.random.default_rng(seed)
+            Z = rng.standard_normal((83, 11))
+            return Z, np.where(Z[:, 0] + rng.standard_normal(83) > 0, 2, 1)
+
+        Z, y = problem(0)
+        _, smo_report = _smo_svm(Z, y, 81.1)
+        assert not smo_report.converged and smo_report.grad_norm_at_exit > 1e-6
+        for seed in range(30):
+            Z, y = problem(seed)
+            coef, report = fit_linear_svm(Z, y, 81.1)
+            assert report.converged and report.iterations <= 15
+            assert report.grad_norm_at_exit <= metalearners.TOL / 10
+            if seed in (0, 2, 3):
+                assert hinge_loss(coef, 81.1, Z, y) <= _slsqp_svm(Z, y, 81.1) + 1e-9
 
     def test_budget_exhausted_reports_not_converged(self, monkeypatch):
         rng = _rng(73)
         Z = rng.standard_normal((20, 2))
         y = np.where(Z[:, 0] + rng.standard_normal(20) > 0, 2, 1)
         y[:2] = [1, 2]
-        # MAX_ITER * n = 20 pair updates cannot reach the 1e-8 KKT tolerance
-        monkeypatch.setattr(metalearners, "MAX_ITER", 1)
+        # MAX_ITER = 3 interior-point steps cannot reach the TOL / 10 gap
+        monkeypatch.setattr(metalearners, "MAX_ITER", 3)
         coef, report = fit_linear_svm(Z, y, 50.0)
         assert not report.converged
-        assert report.iterations == 20
+        assert report.iterations == 3
         assert report.final_loss == hinge_loss(coef, 50.0, Z, y)
-        assert report.grad_norm_at_exit > 1e-8
+        assert report.grad_norm_at_exit > metalearners.TOL / 10
         monkeypatch.undo()
         _, full = fit_linear_svm(Z, y, 50.0)
         assert full.converged
@@ -711,3 +887,156 @@ class TestSvmSolver:
         c2, _ = fit_linear_svm(Z, y, 1.5)
         assert c1.intercepts[0] == c2.intercepts[0]
         assert np.array_equal(c1.weights, c2.weights)
+
+
+def _noisy_gaussian(seed, n=40, p=5):
+    """A design of standard normal columns, its first informative under
+    unit label noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    return X, np.where(X[:, 0] + rng.standard_normal(n) > 0, 2, 1)
+
+
+class TestHingeForms:
+    # the step's system is solved through the p x p Woodbury matrix when
+    # p < n and C max_i |z_i|^2 <= WOODBURY_SCALE, else directly on n x n
+
+    def test_forms_agree_where_both_hold(self, monkeypatch):
+        X, y = _noisy_gaussian(101)
+        cost = 1e5 / np.max(np.sum(X * X, axis=1))
+        woodbury, woodbury_report = fit_linear_svm(X, y, cost)
+        monkeypatch.setattr(metalearners, "WOODBURY_SCALE", 0.0)
+        direct, direct_report = fit_linear_svm(X, y, cost)
+        assert not np.array_equal(woodbury.weights, direct.weights)  # two solves
+        for report in (woodbury_report, direct_report):
+            assert report.converged and report.grad_norm_at_exit <= metalearners.TOL / 10
+        assert abs(woodbury_report.final_loss - direct_report.final_loss) <= metalearners.TOL / 10
+
+    def test_wide_design_not_above_referees(self):
+        rng = _rng(103)
+        Z = rng.standard_normal((20, 40))
+        y = np.where(Z[:, 0] + 0.5 * rng.standard_normal(20) > 0, 2, 1)
+        y[:2] = [1, 2]
+        for cost in (0.01, 1.0, 100.0):
+            coef, report = fit_linear_svm(Z, y, cost)
+            assert report.converged and report.grad_norm_at_exit <= metalearners.TOL / 10
+            smo, smo_report = _smo_svm(Z, y, cost)
+            assert smo_report.converged
+            assert report.final_loss <= hinge_loss(smo, cost, Z, y) + 1e-9
+            assert report.final_loss <= _slsqp_svm(Z, y, cost) + 1e-9
+
+    @pytest.mark.parametrize("seed, scale", [(0, 1e7), (1, 1e8), (2, 1e9)])
+    def test_large_scale_converges_in_the_direct_form(self, seed, scale):
+        # C max_i |z_i|^2 of 1e7 to 1e9, as raw features in large units
+        # reach at the grid's top costs: the Woodbury steps stalled from
+        # about 1e8 and SMO's budget ran out (gaps 0.3 to 1.5 at 1e9)
+        X, y = _noisy_gaussian(seed)
+        Z = 1e3 * X
+        cost = scale / np.max(np.sum(Z * Z, axis=1))
+        coef, report = fit_linear_svm(Z, y, cost)
+        assert report.converged and report.grad_norm_at_exit <= metalearners.TOL / 10
+        smo, _ = _smo_svm(Z, y, cost)
+        assert report.final_loss <= hinge_loss(smo, cost, Z, y) + 1e-9
+
+    def test_duplicated_large_column_at_a_high_cost(self):
+        # two equal columns of scale 1e3 at cost 1e3 (C max_i |z_i|^2 about
+        # 1e10): np.linalg.solve found the Woodbury matrix singular and
+        # failed the stack. Every cost of the stack gets a finite fit, as
+        # good as SMO's; past the reach of double precision, the top cost
+        # ends when a bound variable underflows, at its best iterate
+        X, y = _noisy_gaussian(1)
+        X[:, 1] = X[:, 0]
+        Z = 1e3 * X
+        costs = [1e-3, 1.0, 1e3]
+        [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
+        for (coef, report), cost in zip(fits, costs):
+            assert np.all(np.isfinite(coef.weights)) and np.isfinite(coef.intercepts[0])
+            assert report.final_loss == hinge_loss(coef, cost, Z, y)
+            assert report.grad_norm_at_exit <= 1e-6
+            smo, _ = _smo_svm(Z, y, cost)
+            assert report.final_loss <= hinge_loss(smo, cost, Z, y) + 1e-9
+        top = fits[-1][1]
+        assert not top.converged and top.iterations < metalearners.MAX_ITER
+        assert top.grad_norm_at_exit > metalearners.TOL / 10
+
+    def test_singular_system_leaves_the_rest_of_the_stack(self):
+        # np.linalg.solve fails a stack for one singular matrix; the others
+        # are solved as alone, and the singular one gets NaN
+        rng = _rng(107)
+        M = rng.standard_normal((3, 4, 4)) + 4.0 * np.eye(4)
+        M[1, 3] = M[1, 2]
+        R = rng.standard_normal((3, 4, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, R)
+        X = metalearners._solve_each(M, R)
+        assert np.all(np.isnan(X[1]))
+        for i in (0, 2):
+            assert np.array_equal(X[i], np.linalg.solve(M[i:i + 1], R[i:i + 1])[0])
+
+
+def _weight_bound(n, cost, gap):
+    """How far the weights of a fit with duality gap `gap` can be from the
+    optimal ones: hinge_loss is 1/(n cost)-strongly convex in w, so
+    |w - w*|^2 / (2 n cost) <= hinge_loss - optimum <= gap."""
+    return math.sqrt(2.0 * n * cost * max(gap, 0.0))
+
+
+class TestHingeEdgeCases:
+    def test_ties_in_the_margin_set(self):
+        # every point lies on the hard margin of w* = (1, 0), b* = 0: 12
+        # margin points, more than p + 1 = 3, with duplicated rows, so the
+        # dual's free block is rank-deficient; at cost >= 1 the optimum is
+        # that hard margin, with hinge_loss |w*|^2 / (2 n cost)
+        heights = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0])
+        Z = np.concatenate([np.column_stack([np.ones(6), heights]),
+                            np.column_stack([-np.ones(6), heights])])
+        y = np.repeat([2, 1], 6)
+        n = y.size
+        for cost in (1.0, 10.0, 100.0):
+            coef, report = fit_linear_svm(Z, y, cost)
+            assert report.converged
+            assert report.final_loss <= 1.0 / (2 * n * cost) + 1e-9
+            bound = _weight_bound(n, cost, report.grad_norm_at_exit)
+            assert np.linalg.norm(coef.weights - [1.0, 0.0]) <= bound
+            assert abs(coef.intercepts[0]) <= 2.0 * bound + 1e-12
+
+    def test_separable_weights_fixed_above_the_hard_margin_cost(self):
+        # separable data: above the largest hard-margin multiplier every
+        # cost has the hard-margin solution, so the weights of all costs
+        # agree within what their certificates allow, every training margin
+        # is at least 1, and n cost hinge_loss = |w*|^2 / 2 is constant
+        rng = _rng(89)
+        y = np.repeat([1, 2], 15)
+        Z = rng.standard_normal((30, 3)) + 3.0 * (y[:, None] - 1.5) * np.array([1.0, 0.5, 0.0])
+        assert _strictly_separable(Z, y)
+        costs = np.array([10.0, 100.0, 1000.0, 10000.0])
+        [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
+        hard = [coef for coef, _ in fits]
+        half_norm = 30 * costs[0] * fits[0][1].final_loss  # |w*|^2 / 2 up to 30 costs[0] gap
+        for (coef, report), cost in zip(fits, costs):
+            assert report.converged
+            s = 2.0 * (y - 1.5)
+            assert np.all(s * coef.scores(Z[None])[:, 0] >= 1.0 - 1e-6)
+            assert (abs(30 * cost * report.final_loss - half_norm)
+                    <= 30 * cost * 1e-9 + 30 * costs[0] * 1e-9)
+            for other, (_, other_report), other_cost in zip(hard, fits, costs):
+                assert (np.linalg.norm(coef.weights - other.weights)
+                        <= _weight_bound(30, cost, report.grad_norm_at_exit)
+                        + _weight_bound(30, other_cost, other_report.grad_norm_at_exit))
+
+    @pytest.mark.parametrize("cost", [1e-4, 0.01])
+    def test_minority_class_entirely_at_bound(self, cost):
+        # 5 against 45 at a small cost: the penalty keeps w near 0, the
+        # intercept serves the majority, and every minority point violates
+        # its margin, so each of their multipliers sits at the upper bound
+        rng = _rng(97)
+        y = np.repeat([2, 1], [5, 45])
+        Z = rng.standard_normal((50, 3)) + 0.5 * (y[:, None] - 1)
+        coef, report = fit_linear_svm(Z, y, cost)
+        assert report.converged and report.grad_norm_at_exit <= metalearners.TOL / 10
+        smo, smo_report = _smo_svm(Z, y, cost)
+        assert smo_report.converged
+        assert report.final_loss <= hinge_loss(smo, cost, Z, y) + 1e-9
+        assert report.final_loss <= _slsqp_svm(Z, y, cost) + 1e-9
+        margins = coef.scores(Z[None])[:5, 0]  # the minority, s = +1
+        assert np.all(margins < 1.0)

@@ -257,7 +257,8 @@ class TestFittedModelPredictsAsScored:
     # Off-centre columns on scales 1..1000 make the scaling matter (each
     # "sd" case fails if predict skips it); ridge, lasso and multiclass-ridge
     # use the largest lambda, where their path starts cold, small enough to
-    # keep weights.
+    # keep weights. CV solves hinge at every cost and theta of a fold in one
+    # stack, so every hinge cost is checked.
     @pytest.mark.parametrize("scaling", [None, "sd"])
     @pytest.mark.parametrize(
         "learner", ["ridge", "lasso", "hinge", "logistic", "unit-weights", "multiclass-ridge"]
@@ -278,14 +279,15 @@ class TestFittedModelPredictsAsScored:
         a = 2 if learner in ("ridge", "lasso", "multiclass-ridge") else (0 if alpha_free else 1)
         tr, te = data.subset(folds != t), data.subset(folds == t)
         theta = QuantileParams.common(cv.thetas[h], data.p)
-        if learner == "multiclass-ridge":
-            model = fit_multiclass_eqc(tr, theta, alphas[a], scaling=scaling)
-            pred = predict_multiclass(te.X, model)
-        else:
-            alpha = np.nan if alpha_free else alphas[a]
-            model = fit_binary_eqc(tr, theta, learner, alpha, scaling=scaling)
-            pred = predict_binary(te.X, model)
-        assert misclassification_rate(pred, te.y) == cv.per_fold[t, h, a]
+        for a in range(len(alphas)) if learner == "hinge" else [a]:
+            if learner == "multiclass-ridge":
+                model = fit_multiclass_eqc(tr, theta, alphas[a], scaling=scaling)
+                pred = predict_multiclass(te.X, model)
+            else:
+                alpha = np.nan if alpha_free else alphas[a]
+                model = fit_binary_eqc(tr, theta, learner, alpha, scaling=scaling)
+                pred = predict_binary(te.X, model)
+            assert misclassification_rate(pred, te.y) == cv.per_fold[t, h, a]
 
     def test_constant_columns_score_as_refit_on_ties(self):
         # count data with a constant column: held-out points whose hinge
