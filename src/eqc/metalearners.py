@@ -91,19 +91,20 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """What a solve reached.
+    """What a solve reached: final_loss, converged and grad_norm_at_exit
+    all describe the returned coefficients, whatever ended the solve.
 
-    final_loss is the objective the solver minimizes, at the returned
-    coefficients: the penalized mean negative log-likelihood (Newton, every
-    K, and lasso; the penalized binomial deviance at K = 2) or hinge_loss
-    (hinge). iterations counts Newton steps (proximal Newton steps for the
-    lasso) or hinge interior-point steps; converged is True only when the
-    stopping rule, at TOL (TOL / 10 for the hinge gap), was met within the
-    MAX_ITER budget (and, for an unpenalized Newton fit at K = 2, when the
-    fit does not separate the classes). grad_norm_at_exit is the norm of
-    the last minimum-norm subgradient, the gradient itself without the
-    lasso penalty (Newton and lasso), or the duality gap in hinge_loss
-    units (hinge).
+    final_loss is the objective the solver minimizes: the penalized mean
+    negative log-likelihood (Newton, every K, and lasso; the penalized
+    binomial deviance at K = 2) or hinge_loss (hinge). iterations counts
+    the steps taken, at most MAX_ITER: Newton steps (proximal Newton steps
+    for the lasso) or hinge interior-point steps. converged is True only
+    when the stopping rule, at TOL (TOL / 10 for the hinge gap), holds
+    (and, for an unpenalized Newton fit at K = 2, when the fit does not
+    separate the classes). grad_norm_at_exit is the norm of the
+    minimum-norm subgradient, the gradient itself without the lasso
+    penalty (Newton and lasso), or the duality gap in hinge_loss units
+    (hinge).
     """
 
     final_loss: float
@@ -221,14 +222,19 @@ def _softmax_newton(
     (B, m + p) solutions, intercepts first, and one SolverReport each.
 
     The B problems advance in lockstep, and each keeps its own iterate,
-    gradient-norm stop, Newton direction, descent check, step and report;
-    a problem leaves the active stack when it stops. Each step solves the
-    Newton systems of the active problems in one batched solve, falls back
-    to the gradient where that gives no descent direction, and backtracks
-    to the Armijo condition. Every operation acts on each problem alone, so
-    each problem's solution and report equal, bit for bit, those of its
-    solve on its own (B = 1). The stack holds B (n p + (m + p)^2) floats of
-    designs and Hessians: about 1 MB for 19 problems at n = 80, p = 50.
+    gradient-norm stop, Newton direction, descent check, step and report.
+    Each pass first retires, in one place, the problems whose gradient norm
+    is below TOL, those whose last line search accepted no step, and, once
+    MAX_ITER steps are taken, all the rest; a retired problem leaves the
+    active stack, and its report is that of the point it returns. Each
+    step solves the Newton systems of the active problems in one batched
+    solve (_solve_each), falls back to the gradient wherever that gives no
+    finite descent direction (a singular system among them), and
+    backtracks to the Armijo condition. Every operation acts on each
+    problem alone, so each problem's solution and report equal, bit for
+    bit, those of its solve on its own (B = 1). The stack holds
+    B (n p + (m + p)^2) floats of designs and Hessians: about 1 MB for 19
+    problems at n = 80, p = 50.
 
     Near the optimum the Armijo test compares numbers equal up to rounding:
     a predicted decrease -g.d below ulp(f) cannot show in f. So the full
@@ -243,9 +249,10 @@ def _softmax_newton(
 
     With l1 > 0 (the lasso, at lam = 0) the objective gains (l1/2)||w||_1
     and the loop is proximal Newton (Lee, Sun & Saunders, SIAM J. Optim.
-    2014): _l1_newton_step minimizes each problem's model, and the Armijo
-    test runs on the penalized objective. The solve stops when the
-    minimum-norm subgradient (the gradient at l1 = 0) has norm below TOL.
+    2014): _l1_newton_step minimizes each problem's model (a singular
+    orthant block keeps its sweep's point), and the Armijo test runs on
+    the penalized objective. The solve stops when the minimum-norm
+    subgradient (the gradient at l1 = 0) has norm below TOL.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     B, m, _, p = Q.shape
@@ -258,48 +265,42 @@ def _softmax_newton(
     out = X.copy()
     reports: list[SolverReport | None] = [None] * B
     live = np.arange(B)  # the stack position of each active problem
-
-    def stop(which, it, converged, grad_norm):
-        ids, fs, gs = live.tolist(), f.tolist(), grad_norm.tolist()
-        for j in which.nonzero()[0].tolist():
-            out[ids[j]] = X[j]
-            reports[ids[j]] = SolverReport(fs[j], it, converged, gs[j])
-        return ~which
+    stuck = np.zeros(B, dtype=bool)  # whose last line search accepted no step
 
     f, S, lse = _softmax_terms(Q, Y, lam, X)
     if l1:
         f = f + penalty(X)
-    grad_norm = None
-    it = 0
-    for it in range(1, MAX_ITER + 1):
+    for it in range(MAX_ITER + 1):
         G, P = _softmax_gradient(Q, Y, lam, X, S, lse)
         V = _min_norm_subgradient(G, X, m, t) if l1 else G
         grad_norm = np.sqrt(_rowdot(V, V))
-        done = grad_norm < TOL
-        if np.count_nonzero(done):
-            rest = stop(done, it, True, grad_norm)
+        converged = grad_norm < TOL
+        ending = converged | stuck if it < MAX_ITER else np.ones(live.size, dtype=bool)
+        if np.count_nonzero(ending):
+            ids, fs, gs, flags = live.tolist(), f.tolist(), grad_norm.tolist(), converged.tolist()
+            for j in ending.nonzero()[0].tolist():
+                out[ids[j]] = X[j]
+                reports[ids[j]] = SolverReport(fs[j], it - int(stuck[j]), flags[j], gs[j])
+            rest = ~ending
             if not np.count_nonzero(rest):
                 return out, reports
-            live, Q, X, f, S, lse, G, P, grad_norm = (
-                v[rest] for v in (live, Q, X, f, S, lse, G, P, grad_norm))
+            live, Q, X, f, S, lse, G, P = (v[rest] for v in (live, Q, X, f, S, lse, G, P))
         H = _softmax_hessian(Q, lam, P)
         H.reshape(live.size, -1)[:, :: m + p + 1] += 1e-12
         if l1:
             D = np.array([_l1_newton_step(*args, m, t) for args in zip(H, G, X)])
             gd = _rowdot(G, D) + penalty(X + D) - penalty(X)
         else:
-            try:
-                D = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                D = np.array([_newton_direction(Hj, Gj) for Hj, Gj in zip(H, G)])
+            D = _solve_each(H, -G[:, :, None])[:, :, 0]
             gd = _rowdot(G, D)
-            ascent = gd >= 0
-            if np.count_nonzero(ascent):  # not a descent direction; fall back to gradient
-                D[ascent] = -G[ascent]
-                gd[ascent] = _rowdot(G[ascent], D[ascent])
+            fallback = ~((gd < 0.0) & np.isfinite(gd))  # not a finite descent direction
+            if np.count_nonzero(fallback):
+                D[fallback] = -G[fallback]
+                gd[fallback] = _rowdot(G[fallback], D[fallback])
 
         # backtrack the problems whose step is not accepted yet; they all
         # share the current step
+        stuck = np.zeros(live.size, dtype=bool)
         step = 1.0
         todo = None  # positions still backtracking once some have accepted
         while step > 1e-14:
@@ -329,27 +330,8 @@ def _softmax_newton(
                 if not todo.size:
                     break
             step *= BACKTRACK
-        else:  # no step accepted: these stop where they are
-            failed = np.zeros(live.size, dtype=bool)
-            failed[np.arange(live.size) if todo is None else todo] = True
-            rest = stop(failed, it, False, grad_norm)
-            if not np.count_nonzero(rest):
-                return out, reports
-            live, Q, X, f, S, lse, grad_norm = (
-                v[rest] for v in (live, Q, X, f, S, lse, grad_norm))
-    if grad_norm is None:  # no step allowed
-        grad_norm = np.full(live.size, np.inf)
-    stop(np.ones(live.size, dtype=bool), max(it, 1), False, grad_norm)
-    return out, reports
-
-
-def _newton_direction(H, g):
-    """Newton direction -H^-1 g of one problem, the batched solve's
-    arithmetic; -g when H is singular."""
-    try:
-        return np.linalg.solve(H[None], -g[None, :, None])[0, :, 0]
-    except np.linalg.LinAlgError:
-        return -g
+        else:  # no step accepted: these retire where they are at the next pass
+            stuck[... if todo is None else todo] = True
 
 
 def _min_norm_subgradient(G, X, m, t):
@@ -368,7 +350,8 @@ def _l1_newton_step(H, g, x, m, t):
     model over the orthant the sweep left, where it is quadratic: zero
     weights stay zero, the others keep their signs, and the step stops at
     the first weight that reaches zero, so no round raises the model. The
-    solve stops when a sweep moves no coordinate by TOL or more, or after
+    solve stops when a sweep moves no coordinate by TOL or more, when the
+    orthant's block of H is singular (the sweep's point is kept), or after
     MAX_ITER rounds.
     """
     z = x.tolist()
@@ -393,7 +376,10 @@ def _l1_newton_step(H, g, x, m, t):
         s = np.sign(zv)
         s[:m] = 0.0
         F = np.concatenate((np.arange(m), np.flatnonzero(s)))  # the free coordinates
-        step = np.linalg.solve(H[np.ix_(F, F)], -(g[F] + H[F] @ d + t * s[F]))
+        try:
+            step = np.linalg.solve(H[np.ix_(F, F)], -(g[F] + H[F] @ d + t * s[F]))
+        except np.linalg.LinAlgError:  # a singular orthant block: keep the sweep's point
+            break
         ratios = np.divide(-zv[F], step, out=np.full(F.size, np.inf),
                            where=s[F] * step < 0.0)  # where each weight reaches zero
         tau = min(1.0, ratios.min())
@@ -429,37 +415,35 @@ def _fit_logistic_newton(
     Z: np.ndarray,
     positions: np.ndarray,
     lam: float,
-    keep: np.ndarray,
     x0: np.ndarray | None = None,
-) -> tuple[Coefficients, SolverReport]:
+) -> tuple[np.ndarray, SolverReport]:
     """The Newton solver at K = 2 on one design: ridge on Z (n, p) and the
     class positions y - 1 in {0, 1}; lam may be 0, and a separated fit then
-    reports converged=False (_newton).
+    reports converged=False (_newton). Returns the solver vector
+    (intercept, then the weights of Z's columns) and its report.
 
-    keep marks the columns of the full design that Z holds; the weights
-    come back zero-filled to its width. fit_path's solve of a group of one
-    at K = 2, an entry of its own because the benchmark traces it apart
-    from _fit_lasso_prox and multiclass.fit_on_design.
+    fit_path's solve of a group of one at K = 2, an entry of its own
+    because the benchmark traces it apart from _fit_lasso_prox and
+    multiclass.fit_on_design.
     """
     X, [report] = _newton(Z[None, None], positions, lam, None if x0 is None else x0[None])
-    return _zero_filled(X[0], keep), report
+    return X[0], report
 
 
 def _fit_lasso_prox(
     Z: np.ndarray,
     positions: np.ndarray,
     lam: float,
-    keep: np.ndarray,
     x0: np.ndarray | None = None,
-) -> tuple[Coefficients, SolverReport]:
+) -> tuple[np.ndarray, SolverReport]:
     """The Newton solver at K = 2 on one design with the lasso penalty
-    (lam/2)||w||_1; positions and keep as in _fit_logistic_newton.
+    (lam/2)||w||_1; arguments and result as in _fit_logistic_newton.
 
     Named apart from _fit_logistic_newton because the benchmark traces the
     lasso solves as a layer of their own.
     """
     X, [report] = _newton(Z[None, None], positions, 0.0, None if x0 is None else x0[None], l1=lam)
-    return _zero_filled(X[0], keep), report
+    return X[0], report
 
 
 def _zero_filled(x: np.ndarray, keep: np.ndarray, m: int = 1) -> Coefficients:
@@ -744,8 +728,10 @@ def fit_path(Q, positions, learner: str,
     _hinge_ipm; every problem of a stack equals its solve on its own bit
     for bit. At K = 2 a group of one goes through the one-problem entries
     instead (the benchmark traces them): _fit_logistic_newton and
-    _fit_lasso_prox at each alpha, and fit_linear_svm when the grid holds
-    one cost. So the result is the same whatever the stack, and a stack of
+    _fit_lasso_prox at each alpha, which return _newton's solver vector and
+    report, and fit_linear_svm when the grid holds one cost. Every Newton
+    solution is zero-filled to the full width in one place. So the result
+    is the same whatever the stack, and a stack of
     B designs holds B (m n p + (m + p)^2) floats while it solves (hinge: at
     most HINGE_STACK_FLOATS, or one problem's). Returns, per design, one
     (Coefficients, SolverReport) per alpha, in grid order.
@@ -792,12 +778,9 @@ def fit_path(Q, positions, learner: str,
             lam = 0.0 if learner == "logistic" else alphas[a]
             if len(members) == 1 and m == 1:
                 entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton
-                coef, report = entry(Qg[0, 0], positions, lam, keep,
-                                     None if warm is None else warm[0])
-                fits[members[0]][a] = (coef, report)
-                X = np.append(coef.intercepts, coef.weights[keep])[None]
-                continue
-            if learner == "lasso":
+                x, report = entry(Qg[0, 0], positions, lam, None if warm is None else warm[0])
+                X, reports = x[None], [report]
+            elif learner == "lasso":
                 X, reports = _newton(Qg, positions, 0.0, warm, l1=lam)
             else:
                 X, reports = _newton(Qg, positions, lam, warm)

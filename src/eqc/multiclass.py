@@ -53,10 +53,12 @@ def fit_on_design(Q: np.ndarray, positions: np.ndarray,
     """Fit the softmax to the design (Q, positions): metalearners.fit_path's
     ridge fit at lam (positive and finite) on this one design.
 
-    The report holds the penalized mean negative log-likelihood; columns
+    Returns the coefficients and the report of that point, whose
+    final_loss is the penalized mean negative log-likelihood; columns
     constant within every class transform get weight exactly 0; at K = 2
-    this is the binary ridge fit. A function of its own only because the
-    benchmark traces it apart from metalearners._fit_logistic_newton.
+    this is the binary ridge fit, which fit_path solves through
+    metalearners._fit_logistic_newton. A function of its own only because
+    the benchmark traces it as a layer apart from that entry.
     """
     [[fit]] = fit_path(Q[None], positions, "ridge", [lam])
     return fit

@@ -11,10 +11,12 @@ from eqc import (
     DomainError,
     QuantileParams,
     ScenarioSpec,
+    TuningGrid,
     estimate_quantile_table,
     fit_linear_svm,
     generate,
     hinge_loss,
+    tune_and_train,
 )
 from eqc import metalearners
 from eqc.binary import class_transforms
@@ -315,6 +317,27 @@ class TestRidgeNewton:
             assert report.iterations == 1
             assert report.grad_norm_at_exit > 1e-8
 
+    def test_report_describes_the_returned_point(self, monkeypatch):
+        # the problem above; whatever ends the solve, the report's gradient
+        # norm and convergence are those of the coefficients returned
+        rng = _rng(67)
+        Z = rng.standard_normal((30, 3))
+        y = np.where(Z[:, 0] > 0, 2, 1)
+        y[:2] = [1, 2]
+        Q, Y, lam = Z[None, None], (y == 1)[None].astype(float), 0.01
+        [[(_, full)]] = fit_path(Q, y - 1, "ridge", [lam])
+        assert full.converged and full.iterations == 5
+        for budget in range(1, full.iterations + 1):
+            monkeypatch.setattr(metalearners, "MAX_ITER", budget)
+            [[(coef, report)]] = fit_path(Q, y - 1, "ridge", [lam])
+            x = np.concatenate((coef.intercepts, coef.weights))[None]
+            _, S, lse = metalearners._softmax_terms(Q, Y, lam, x)
+            G, _ = metalearners._softmax_gradient(Q, Y, lam, x, S, lse)
+            assert report.grad_norm_at_exit == np.sqrt(metalearners._rowdot(G, G))[0]
+            assert report.iterations == budget
+            assert report.converged == (budget == full.iterations)
+        assert report == full
+
 
 def _fold_stack(family="t3", n=60, p=8, seed=0, thetas=None, counts=False, K=2):
     """One CV fold's training designs, one per theta, stacked as fit_path
@@ -396,12 +419,16 @@ class TestStackedNewton:
         assert any(r.converged for r in ended)
         assert any(not r.converged and r.iterations == budget for r in ended)
 
-    @pytest.mark.parametrize("lam", [1e-3, 0.0])
-    def test_backtracking_and_singular_problems_stay_apart(self, lam):
+    @pytest.mark.parametrize("lam, l1", [pytest.param(1e-3, 0.0, id="0.001"),
+                                         pytest.param(0.0, 0.0, id="0.0"),
+                                         pytest.param(0.0, 0.05, id="lasso")])
+    def test_backtracking_and_singular_problems_stay_apart(self, lam, l1):
         # problem 1 starts far out, where full Newton steps overshoot, so it
         # backtracks while problem 0 takes full steps; problem 2 has two
         # equal columns of scale 1e8, so its Hessian is singular (the
-        # batched solve fails for the whole stack) and no step is accepted
+        # batched solve fails for the whole stack). Without l1 its gradient
+        # step is too long for any backtrack, so no step is accepted; the
+        # lasso's orthant blocks are singular too, and its sweeps still move
         rng = _rng(3)
         y = np.repeat([1, 2], 20)
         Z = rng.standard_normal((3, 40, 3)) + (y[:, None] - 1.5)
@@ -409,13 +436,16 @@ class TestStackedNewton:
         Y = (y == 1)[None].astype(float)
         X0 = np.zeros((3, 4))
         X0[1, 1:] = [-40.0, 25.0, -30.0]
-        X, reports = _softmax_newton(Z[:, None], Y, lam, X0)
+        X, reports = _softmax_newton(Z[:, None], Y, lam, X0, l1=l1)
         for i in range(3):
-            Xi, [ri] = _softmax_newton(Z[i:i + 1, None], Y, lam, X0[i:i + 1])
+            Xi, [ri] = _softmax_newton(Z[i:i + 1, None], Y, lam, X0[i:i + 1], l1=l1)
             assert np.array_equal(Xi[0], X[i]) and ri == reports[i]
         assert reports[0].converged and reports[1].converged
         assert reports[1].iterations > reports[0].iterations
-        assert not reports[2].converged and reports[2].iterations == 1
+        if l1:
+            assert reports[2].converged
+        else:
+            assert not reports[2].converged and reports[2].iterations == 0
 
     @pytest.mark.parametrize("learner", ["ridge", "lasso", "hinge"])
     def test_count_data_with_two_column_masks(self, learner):
@@ -566,14 +596,14 @@ class TestSigmoidOverflow:
         y = np.array([1, 1, 2, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0, np.ones(1, bool))
+            plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0)
             [[(ridge, _)]] = fit_path(Z[None, None], y - 1, "ridge", [1e-12])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
         # the 4 points are separable, so the unpenalized fit has no minimizer
         assert not report.converged
-        assert plain.weights[0] > 0 and ridge.weights[0] > 0
+        assert plain[1] > 0 and ridge.weights[0] > 0
         assert np.all(np.isfinite(g))
 
 
@@ -615,7 +645,7 @@ class TestLogisticSeparation:
         assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
         # the solver entry itself says so, not only fit_path
         keep = ~degenerate_columns(Z)
-        _, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0, keep)
+        _, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0)
         assert plain_report == report
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -625,11 +655,12 @@ class TestLogisticSeparation:
         [[(coef, report)]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
         # the solve fit_path makes, on the same copy of the columns
         keep = ~degenerate_columns(Z)
-        plain, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0, keep)
+        plain, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0)
         assert report.converged
         assert report == plain_report
-        assert np.array_equal(coef.intercepts, plain.intercepts)
-        assert np.array_equal(coef.weights, plain.weights)
+        assert np.array_equal(coef.intercepts, plain[:1])
+        assert np.array_equal(coef.weights[keep], plain[1:])
+        assert not coef.weights[~keep].any()
 
 
 def _lasso_referee(Z, y, lam):
@@ -689,6 +720,20 @@ class TestLassoProx:
         referee = binomial_loss(_lasso_referee(Z, data.y, 0.003), ("lasso", 0.003),
                                 Z, data.y)
         assert fits[2][1].final_loss <= referee + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_duplicated_column_at_a_large_scale(self, scale):
+        # the two equal columns make the orthant Newton block singular once
+        # both weights are free; the sweep's point is kept there, so CV and
+        # the refit go on
+        data = generate(ScenarioSpec("t3", 100, 5, seed=0), 2).train
+        X = data.X.copy()
+        X[:, 1] = X[:, 0]
+        grid = TuningGrid((0.3, 0.5, 0.7), (0.001, 0.1, 10.0), folds=3)
+        model, cv = tune_and_train(Dataset(scale * X, data.y), grid, "lasso")
+        assert model.report.converged
+        if scale == 1e4:
+            assert cv.chosen == (0.5, 0.1)
 
     def test_above_critical_threshold_weights_zero(self):
         rng = _rng(31)
