@@ -275,7 +275,7 @@ def _softmax_newton(
         V = _min_norm_subgradient(G, X, m, t) if l1 else G
         grad_norm = np.sqrt(_rowdot(V, V))
         converged = grad_norm < TOL
-        ending = converged | stuck if it < MAX_ITER else np.ones(live.size, dtype=bool)
+        ending = converged | stuck | (it == MAX_ITER)
         if np.count_nonzero(ending):
             ids, fs, gs, flags = live.tolist(), f.tolist(), grad_norm.tolist(), converged.tolist()
             for j in ending.nonzero()[0].tolist():

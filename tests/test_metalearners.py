@@ -61,10 +61,10 @@ def binomial_gradient(coef, penalty, Z, y):
 
 def _objective_per_budget(monkeypatch, solve):
     """final_loss of solve(), a report, at Newton budgets 1, 2, ... up to
-    convergence: the objective after each accepted step."""
+    the full solve's steps: the objective after each accepted step."""
     full = solve()
     losses = []
-    for budget in range(1, full.iterations):
+    for budget in range(1, full.iterations + 1):
         monkeypatch.setattr(metalearners, "MAX_ITER", budget)
         losses.append(solve().final_loss)
     monkeypatch.undo()

@@ -408,7 +408,7 @@ class TestFit:
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
         _, [full] = _softmax_newton(design[0][None], _indicators(design), 0.05)
         losses = []
-        for budget in range(1, full.iterations):
+        for budget in range(1, full.iterations + 1):
             monkeypatch.setattr(metalearners, "MAX_ITER", budget)
             losses.append(
                 _softmax_newton(design[0][None], _indicators(design), 0.05)[1][0].final_loss)
