@@ -29,7 +29,7 @@ from .binary import predict_binary
 from .data import Dataset
 from .errors import DomainError, EqcError
 from .features import fisher_exact_select, remove_low_frequency
-from .ingest import load_dense_csv, load_sparse_dtm, read_key_values
+from .ingest import SparseDtm, load_dense_csv, load_sparse_dtm, read_key_values
 from .multiclass import predict_multiclass
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import TuningGrid, make_folds, misclassification_rate, tune_and_train
@@ -143,13 +143,14 @@ def _sensitivities(pred, truth, class_ids) -> dict[int, float]:
     return out
 
 
-def _load_dataset(config: ExperimentConfig) -> Dataset:
+def _load_dataset(config: ExperimentConfig) -> Dataset | SparseDtm:
+    """The dense CSV, or the triples after the low-frequency filter, still sparse."""
     if config.dataset_path is not None:
         return load_dense_csv(config.dataset_path)
     dtm = load_sparse_dtm(config.dtm_path, config.labels_path)
     if config.min_docs > 1:
         dtm, _ = remove_low_frequency(dtm, config.min_docs)
-    return dtm.to_dense()
+    return dtm
 
 
 def _task_sets(config: ExperimentConfig):
@@ -158,7 +159,11 @@ def _task_sets(config: ExperimentConfig):
     Scenario mode draws one train/test pair per replication, with fold
     None. Dataset mode yields every outer fold of every replication, after
     any Fisher selection on the training part; a fold whose training part
-    misses a class comes with train and test None.
+    misses a class comes with train and test None. A sparse corpus is
+    densified fold by fold, never whole: the training part at every term,
+    as Fisher selection reads it, then cut to the selected terms; the
+    held-out part directly at the selected terms (every term without
+    selection).
     """
     if config.scenario is not None:
         for rep in range(config.replications):
@@ -167,21 +172,20 @@ def _task_sets(config: ExperimentConfig):
             yield rep, None, data.train, data.test
         return
     data = _load_dataset(config)
+    classes = set(np.unique(data.y))
     for rep in range(config.replications):
         folds = make_folds(data.y, config.outer_folds, stratified=True,
                            seed=_seed_int(config.seed, rep))
         for f in range(config.outer_folds):
-            train = data.subset(folds != f)
-            if set(train.class_ids) != set(data.class_ids):
+            if set(np.unique(data.y[folds != f])) != classes:
                 yield rep, f, None, None
                 continue
-            test = data.subset(folds == f)
+            train, cols = data.subset(folds != f), None
             if config.feature_selection == "fisher":
                 # rebinding train frees the full training part before tuning
                 cols = fisher_exact_select(train, train.y, config.fisher_l)
                 train = Dataset(train.X[:, cols], train.y)
-                test = Dataset(test.X[:, cols], test.y)
-            yield rep, f, train, test
+            yield rep, f, train, data.subset(folds == f, cols)
 
 
 def summarize(rows) -> list[dict]:

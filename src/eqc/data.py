@@ -58,11 +58,16 @@ class Dataset:
         """Distinct labels in ascending order."""
         return np.unique(self.y)
 
-    def subset(self, idx) -> "Dataset":
-        """Row subset (copy), keeping variable names.
+    def subset(self, idx, cols=None) -> "Dataset":
+        """Row subset (copy) at the columns cols, or at every column if cols
+        is None, keeping variable names.
 
-        idx is an integer or boolean index array; such indexing already
-        returns a copy.
+        idx is an integer or boolean index array and cols an integer one;
+        such indexing already returns a copy, in Fortran order when cols
+        is given.
         """
         idx = np.asarray(idx)
-        return Dataset(self.X[idx], self.y[idx], self.var_names)
+        if cols is None:
+            return Dataset(self.X[idx], self.y[idx], self.var_names)
+        names = self.var_names and [self.var_names[j] for j in cols]
+        return Dataset(self.X[idx][:, cols], self.y[idx], names)

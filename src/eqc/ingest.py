@@ -21,7 +21,10 @@ from .errors import DomainError, ParseError
 
 @dataclass(frozen=True)
 class SparseDtm:
-    """Document-term counts as (doc, term, count) triples, 0-based in memory."""
+    """Document-term counts as (doc, term, count) triples, 0-based in memory.
+
+    Never dense as a whole: subset builds only the rows and terms asked for.
+    """
 
     n_docs: int
     n_terms: int
@@ -59,12 +62,28 @@ class SparseDtm:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "labels", labels)
 
-    def to_dense(self) -> Dataset:
-        """Densify into a Dataset (docs x terms count matrix)."""
-        X = np.zeros((self.n_docs, self.n_terms))
-        X[self.docs, self.terms] = self.counts
+    @property
+    def y(self) -> np.ndarray:
+        """The labels, under the name Dataset gives them."""
+        return self.labels
+
+    def subset(self, rows, cols=None) -> Dataset:
+        """Dense Dataset of the documents in the boolean mask rows (docs x
+        terms counts), at the distinct term columns cols in their order, or
+        at every term if cols is None; built from the triples alone.
+        """
+        rows = np.asarray(rows, dtype=bool)
+        full = cols is None
+        cols = np.arange(self.n_terms) if full else np.asarray(cols, dtype=int)
+        col_of = np.full(self.n_terms, -1)
+        col_of[cols] = np.arange(cols.size)
+        keep = rows[self.docs] & (col_of[self.terms] >= 0)
+        # Fortran order at given columns, as numpy's X[rows][:, cols] has it:
+        # sums downstream follow the layout, so the last bits do too
+        X = np.zeros((int(rows.sum()), cols.size), order="C" if full else "F")
+        X[(np.cumsum(rows) - 1)[self.docs[keep]], col_of[self.terms[keep]]] = self.counts[keep]
         names = self.term_names or [f"t{j + 1}" for j in range(self.n_terms)]
-        return Dataset(X, self.labels, list(names))
+        return Dataset(X, self.labels[rows], [names[j] for j in cols])
 
     def document_frequencies(self) -> np.ndarray:
         """Number of documents each term appears in."""

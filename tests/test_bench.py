@@ -209,6 +209,78 @@ class TestDatasetMode:
             run_experiment(self._one_sided_folds(tmp_path, monkeypatch, 4))
 
 
+def _write_triples(X, y, directory) -> tuple[Path, Path]:
+    """The triple file (1-based, row-major) and labels file of a count matrix."""
+    directory.mkdir()
+    docs, terms = np.nonzero(X)
+    matrix, labels = directory / "corpus", directory / "corpus.labels"
+    lines = [f"{X.shape[0]} {X.shape[1]} {docs.size}"]
+    lines += [f"{d + 1} {t + 1} {int(X[d, t])}" for d, t in zip(docs, terms)]
+    matrix.write_text("\n".join(lines) + "\n")
+    labels.write_text("".join(f"{v}\n" for v in y))
+    return matrix, labels
+
+
+class TestSparseCorpus:
+    def test_first_fold_never_densifies_the_corpus(self, tmp_path):
+        # 400 x 8000 counts, every term in 2 documents: the dense corpus is
+        # 25.6 MB, a full-width training part 20.5 MB; the first task set
+        # must stay under twice the dense corpus
+        import tracemalloc
+
+        from eqc.bench import _task_sets
+
+        n_docs, n_terms = 400, 8000
+        j = np.arange(n_terms)
+        X = np.zeros((n_docs, n_terms))
+        X[j % n_docs, j] = 1 + j % 5
+        X[(j + 1 + j // n_docs) % n_docs, j] = 1 + j % 3
+        y = np.repeat([1, 2], n_docs // 2)
+        matrix, labels = _write_triples(X, y, tmp_path / "in")
+        dense_bytes = X.nbytes
+        del X
+        config = ExperimentConfig(
+            classifiers=("qc",), replications=1, grid=_small_grid(),
+            dtm_path=str(matrix), labels_path=str(labels), min_docs=1,
+            outer_folds=5, feature_selection="fisher", fisher_l=20,
+            out_dir=str(tmp_path),
+        )
+        tracemalloc.start()
+        try:
+            _, _, train, test = next(_task_sets(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.X.shape == (320, 20) and test.X.shape == (80, 20)
+        assert peak < 2 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the dense corpus"
+
+    @pytest.mark.parametrize("selection", ["fisher", "none"])
+    def test_triples_and_dense_csv_write_identical_reports(self, tmp_path, selection):
+        # one corpus, every term in at least min_docs documents so that the
+        # filter drops nothing, read once as triples and once as a dense CSV
+        rng = _rng(13)
+        y = np.repeat([1, 2], 30)
+        X = rng.poisson(0.3, size=(60, 25)).astype(float)
+        X[y == 2, :5] += rng.poisson(1.0, size=(30, 5))
+        X[:2] += 1  # every term in at least 2 documents
+        matrix, labels = _write_triples(X, y, tmp_path / "sparse")
+        (tmp_path / "dense").mkdir()
+        save_dense_csv(Dataset(X, y), tmp_path / "dense" / "corpus")
+        common = dict(classifiers=("qc", "emc"), replications=2, grid=_small_grid(),
+                      outer_folds=3, feature_selection=selection, fisher_l=6,
+                      min_docs=2, seed=14)
+        sparse = run_experiment(ExperimentConfig(
+            dtm_path=str(matrix), labels_path=str(labels),
+            out_dir=str(tmp_path / "sparse"), **common))
+        dense = run_experiment(ExperimentConfig(
+            dataset_path=str(tmp_path / "dense" / "corpus"),
+            out_dir=str(tmp_path / "dense"), **common))
+        assert len(sparse.rows) == 2 * 3 * 2 and not sparse.failures
+        for a, b in ((sparse.long_path, dense.long_path),
+                     (sparse.summary_path, dense.summary_path)):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
 def _outer_selections(monkeypatch, config, data, folds):
     """Fisher selections of a one-replication run on the given outer folds."""
     selections = []

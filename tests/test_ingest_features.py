@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from eqc import (
@@ -99,6 +100,10 @@ class TestDenseCsv:
         assert elapsed < 5.0
 
 
+def _all_rows(dtm: SparseDtm) -> Dataset:
+    return dtm.subset(np.ones(dtm.n_docs, dtype=bool))
+
+
 def _toy_dtm():
     # 4 docs x 5 terms; doc 3 is empty; term 4 appears once
     return SparseDtm(
@@ -114,7 +119,7 @@ def _toy_dtm():
 class TestSparseDtm:
     def test_empty_document_is_valid(self):
         dtm = _toy_dtm()
-        dense = dtm.to_dense()
+        dense = _all_rows(dtm)
         assert np.all(dense.X[2] == 0.0)
 
     def test_duplicate_pair_rejected(self):
@@ -135,7 +140,7 @@ class TestSparseDtm:
         m, l = tmp_path / "m.txt", tmp_path / "l.txt"
         save_sparse_dtm(dtm, m, l)
         back = load_sparse_dtm(m, l)
-        assert np.array_equal(back.to_dense().X, dtm.to_dense().X)
+        assert np.array_equal(_all_rows(back).X, _all_rows(dtm).X)
         assert np.array_equal(back.labels, dtm.labels)
 
     def test_header_count_mismatch(self, tmp_path):
@@ -151,6 +156,65 @@ class TestSparseDtm:
         l.write_text("1\n2\n")
         with pytest.raises(ParseError, match="line 2"):
             load_sparse_dtm(m, l)
+
+
+@st.composite
+def _corpora(draw):
+    """A corpus, a row mask over its documents, and sorted term columns or None."""
+    n_docs, n_terms = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    size = n_docs * n_terms
+    cells = np.flatnonzero(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    counts = draw(st.lists(st.integers(1, 10**6), min_size=cells.size,
+                           max_size=cells.size))
+    labels = draw(st.lists(st.integers(1, 3), min_size=n_docs, max_size=n_docs))
+    dtm = SparseDtm(n_docs, n_terms, cells // n_terms, cells % n_terms, counts, labels)
+    rows = np.array(draw(st.lists(st.booleans(), min_size=n_docs, max_size=n_docs)),
+                    dtype=bool)
+    cols = draw(st.none() | st.lists(st.integers(0, n_terms - 1), unique=True).map(sorted))
+    return dtm, rows, cols
+
+
+class TestDensifier:
+    """SparseDtm.subset equals the dense corpus cut to [rows][:, cols], bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(dtm, rows, cols):
+        full = np.zeros((dtm.n_docs, dtm.n_terms))
+        full[dtm.docs, dtm.terms] = dtm.counts
+        want = full[rows] if cols is None else full[rows][:, cols]
+        got = dtm.subset(rows, cols)
+        assert got.X.shape == want.shape
+        assert got.X.tobytes(order="A") == want.tobytes(order="A")  # memory layout too
+        assert np.array_equal(got.y, dtm.labels[rows])
+        names = dtm.term_names or [f"t{j + 1}" for j in range(dtm.n_terms)]
+        assert got.var_names == (names if cols is None else [names[j] for j in cols])
+
+    @given(case=_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_reference(self, case):
+        self._assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("rows", [[False] * 4, [True] * 4, [False, True, True, True]])
+    @pytest.mark.parametrize("cols", [None, [], [3], [1, 3, 4], [0, 1, 2, 3, 4]])
+    def test_masks_empty_documents_and_empty_columns(self, rows, cols):
+        # document 2 is empty and term 3 ("delta") has no entries
+        self._assert_matches_reference(_toy_dtm(), np.array(rows), cols)
+
+    @given(X=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=3, max_size=3), min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dataset_subset_at_columns(self, X, data):
+        X = np.array(X)
+        rows = np.array(data.draw(st.lists(st.booleans(), min_size=len(X),
+                                           max_size=len(X))), dtype=bool)
+        cols = data.draw(st.lists(st.integers(0, 2), unique=True).map(sorted))
+        full = Dataset(X, np.arange(1, len(X) + 1), ["a", "b", "c"])
+        got = full.subset(rows, cols)
+        assert got.X.shape == (rows.sum(), len(cols))
+        assert got.X.tobytes(order="A") == X[rows][:, cols].tobytes(order="A")
+        assert np.array_equal(got.y, full.y[rows])
+        assert got.var_names == [["a", "b", "c"][j] for j in cols]
 
 
 def _dtm_files(tmp_path, matrix: str, labels: str = "1\n2\n1\n"):
