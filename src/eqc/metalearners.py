@@ -20,7 +20,7 @@ The intercepts are never penalized. The hinge loss takes labels y in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +208,7 @@ def _rowdot(U, V):
 
 def _softmax_newton(
     Q: np.ndarray,
-    Y: np.ndarray,
+    positions: np.ndarray,
     lam: float,
     X0: np.ndarray | None = None,
     l1: float = 0.0,
@@ -217,24 +217,26 @@ def _softmax_newton(
 
     The one Newton solver: ridge, logistic, EMC and lasso at K = 2, and
     multiclass-ridge at any K >= 2. Q is a (B, m, n, p) stack of problems
-    of equal shape that share the indicators Y, lam and l1 (_softmax_terms);
-    X0 (B, m + p) holds their starting points, zeros when None. Returns the
-    (B, m + p) solutions, intercepts first, and one SolverReport each.
+    of equal shape that share the class positions 0..m of the n
+    observations (fit_path), lam and l1 (_softmax_terms takes the
+    indicators of the positions 0..m-1); X0 (B, m + p) holds their
+    starting points, zeros when None. Returns the (B, m + p) solutions,
+    intercepts first, and one SolverReport each.
 
     The B problems advance in lockstep, and each keeps its own iterate,
     gradient-norm stop, Newton direction, descent check, step and report.
     Each pass first retires, in one place, the problems whose gradient norm
     is below TOL, those whose last line search accepted no step, and, once
     MAX_ITER steps are taken, all the rest; a retired problem leaves the
-    active stack, and its report is that of the point it returns. Each
-    step solves the Newton systems of the active problems in one batched
-    solve (_solve_each), falls back to the gradient wherever that gives no
-    finite descent direction (a singular system among them), and
-    backtracks to the Armijo condition. Every operation acts on each
-    problem alone, so each problem's solution and report equal, bit for
-    bit, those of its solve on its own (B = 1). The stack holds
-    B (n p + (m + p)^2) floats of designs and Hessians: about 1 MB for 19
-    problems at n = 80, p = 50.
+    active stack, and its report, made there once, is that of the point it
+    returns. Each step solves the Newton systems of the active problems in
+    one batched solve (_solve_each), falls back to the gradient wherever
+    that gives no finite descent direction (a singular system among them),
+    and backtracks to the Armijo condition, every problem from the full
+    step until it accepts one. Every operation acts on each problem alone,
+    so each problem's solution and report equal, bit for bit, those of its
+    solve on its own (B = 1). The stack holds B (n p + (m + p)^2) floats of
+    designs and Hessians: about 1 MB for 19 problems at n = 80, p = 50.
 
     Near the optimum the Armijo test compares numbers equal up to rounding:
     a predicted decrease -g.d below ulp(f) cannot show in f. So the full
@@ -242,10 +244,13 @@ def _softmax_newton(
     4 ulp(f) (in the spirit of the approximate Armijo condition of Hager &
     Zhang, SIAM J. Optim. 2005); the gradient-norm stop is unchanged.
 
-    With lam = 0 (plain logistic regression) separable data has no
+    With lam = 0 (plain logistic regression, m = 1) separable data has no
     minimizer: the weights grow along a separating direction until the
     gradient norm falls below TOL, or until MAX_ITER steps are spent
-    (converged=False).
+    (converged=False). A fit whose every training margin is positive has
+    found a separating hyperplane, a certificate that no minimizer exists
+    (Albert & Anderson 1984), and reports converged=False whatever its
+    gradient norm.
 
     With l1 > 0 (the lasso, at lam = 0) the objective gains (l1/2)||w||_1
     and the loop is proximal Newton (Lee, Sun & Saunders, SIAM J. Optim.
@@ -256,6 +261,9 @@ def _softmax_newton(
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     B, m, _, p = Q.shape
+    Y = (positions == np.arange(m)[:, None]).astype(float)
+    # the margin signs of a logistic fit, whose separation is certified
+    signs = 2.0 * positions - 1.0 if m == 1 and not lam and not l1 else None
     t = 0.5 * l1
 
     def penalty(V):
@@ -277,6 +285,8 @@ def _softmax_newton(
         converged = grad_norm < TOL
         ending = converged | stuck | (it == MAX_ITER)
         if np.count_nonzero(ending):
+            if signs is not None:
+                converged &= ~np.all(signs * S[:, 0] > 0.0, axis=1)
             ids, fs, gs, flags = live.tolist(), f.tolist(), grad_norm.tolist(), converged.tolist()
             for j in ending.nonzero()[0].tolist():
                 out[ids[j]] = X[j]
@@ -298,40 +308,26 @@ def _softmax_newton(
                 D[fallback] = -G[fallback]
                 gd[fallback] = _rowdot(G[fallback], D[fallback])
 
-        # backtrack the problems whose step is not accepted yet; they all
-        # share the current step
-        stuck = np.zeros(live.size, dtype=bool)
+        # backtrack the positions todo whose step is not accepted yet; they
+        # all share the current step, and those left at the floor are stuck
         step = 1.0
-        todo = None  # positions still backtracking once some have accepted
-        while step > 1e-14:
-            if todo is None:
-                f0, gd0, X_new = f, gd, X + step * D
-                f_new, S_new, lse_new = _softmax_terms(Q, Y, lam, X_new)
-            else:
-                f0, gd0, X_new = f[todo], gd[todo], X[todo] + step * D[todo]
-                f_new, S_new, lse_new = _softmax_terms(Q[todo], Y, lam, X_new)
+        todo = np.arange(live.size)
+        while todo.size and step > 1e-14:
+            f0, gd0, X_new = f[todo], gd[todo], X[todo] + step * D[todo]
+            f_new, S_new, lse_new = _softmax_terms(Q if todo.size == live.size else Q[todo],
+                                                   Y, lam, X_new)
             if l1:
                 f_new = f_new + penalty(X_new)
             ok = f_new <= f0 + ARMIJO * step * gd0
-            accepted = np.count_nonzero(ok)
-            if step == 1.0 and accepted < ok.size:
+            if step == 1.0 and np.count_nonzero(ok) < ok.size:
                 ulp = np.spacing(np.abs(f0))
                 ok |= (-gd0 <= 16 * ulp) & (f_new - f0 <= 4 * ulp)
-                accepted = np.count_nonzero(ok)
-            if todo is None and accepted == ok.size:
-                X, f, S, lse = X_new, f_new, S_new, lse_new
-                break
-            if accepted:
-                if todo is None:
-                    todo = np.arange(live.size)
-                done = todo[ok]
-                X[done], f[done], S[done], lse[done] = X_new[ok], f_new[ok], S_new[ok], lse_new[ok]
-                todo = todo[~ok]
-                if not todo.size:
-                    break
+            done = todo[ok]
+            X[done], f[done], S[done], lse[done] = X_new[ok], f_new[ok], S_new[ok], lse_new[ok]
+            todo = todo[~ok]
             step *= BACKTRACK
-        else:  # no step accepted: these retire where they are at the next pass
-            stuck[... if todo is None else todo] = True
+        stuck = np.zeros(live.size, dtype=bool)
+        stuck[todo] = True
 
 
 def _min_norm_subgradient(G, X, m, t):
@@ -390,27 +386,6 @@ def _l1_newton_step(H, g, x, m, t):
     return np.array(z) - x
 
 
-def _newton(Q, positions, lam, X0=None, l1=0.0):
-    """The Newton solver on a (B, m, n, p) stack of designs Q that share the
-    class positions 0..m (fit_path), lam and l1: ridge (lam > 0), logistic
-    (lam = 0, m = 1) or, with l1 > 0 and lam = 0, the lasso (m = 1).
-    Returns _softmax_newton's (B, m + p) solutions and reports.
-
-    At lam = 0 without l1 a fit whose every training margin is positive has
-    found a separating hyperplane, a certificate that no minimizer exists
-    (Albert & Anderson 1984), and reports converged=False whatever its
-    gradient norm.
-    """
-    m = Q.shape[1]
-    Y = (positions == np.arange(m)[:, None]).astype(float)
-    X, reports = _softmax_newton(Q, Y, lam, X0, l1)
-    if lam == 0 and not l1:
-        margins = (2.0 * positions - 1.0) * (X[:, :1] + (Q[:, 0] @ X[:, 1:, None])[:, :, 0])
-        for i in np.flatnonzero(np.all(margins > 0.0, axis=1)):
-            reports[i] = replace(reports[i], converged=False)
-    return X, reports
-
-
 def _fit_logistic_newton(
     Z: np.ndarray,
     positions: np.ndarray,
@@ -419,14 +394,15 @@ def _fit_logistic_newton(
 ) -> tuple[np.ndarray, SolverReport]:
     """The Newton solver at K = 2 on one design: ridge on Z (n, p) and the
     class positions y - 1 in {0, 1}; lam may be 0, and a separated fit then
-    reports converged=False (_newton). Returns the solver vector
+    reports converged=False (_softmax_newton). Returns the solver vector
     (intercept, then the weights of Z's columns) and its report.
 
     fit_path's solve of a group of one at K = 2, an entry of its own
     because the benchmark traces it apart from _fit_lasso_prox and
     multiclass.fit_on_design.
     """
-    X, [report] = _newton(Z[None, None], positions, lam, None if x0 is None else x0[None])
+    X, [report] = _softmax_newton(Z[None, None], positions, lam,
+                                  None if x0 is None else x0[None])
     return X[0], report
 
 
@@ -442,7 +418,8 @@ def _fit_lasso_prox(
     Named apart from _fit_logistic_newton because the benchmark traces the
     lasso solves as a layer of their own.
     """
-    X, [report] = _newton(Z[None, None], positions, 0.0, None if x0 is None else x0[None], l1=lam)
+    X, [report] = _softmax_newton(Z[None, None], positions, 0.0,
+                                  None if x0 is None else x0[None], l1=lam)
     return X[0], report
 
 
@@ -700,7 +677,6 @@ def _hinge_run(Z: np.ndarray, gram: np.ndarray | None, positions: np.ndarray,
         if np.count_nonzero(broken):
             V_next[broken], beta_next[broken] = V[broken], beta[broken]
         V, beta = V_next, beta_next
-    return out, reports
 
 
 def fit_path(Q, positions, learner: str,
@@ -720,16 +696,18 @@ def fit_path(Q, positions, learner: str,
     exactly 0; with the intercepts unpenalized this is the exact optimum,
     not an approximation. Ridge and lasso run from the largest lambda down,
     each solve warm-started from the one before; the other solves start
-    cold. A separated logistic fit reports converged=False (_newton).
+    cold. A separated logistic fit reports converged=False
+    (_softmax_newton).
 
     Designs with the same dropped columns form a group. A group's Newton
     solves at each alpha (ridge, lasso, logistic) are one stacked solve of
-    _newton, and its hinge solves at every cost are one stacked solve of
-    _hinge_ipm; every problem of a stack equals its solve on its own bit
-    for bit. At K = 2 a group of one goes through the one-problem entries
-    instead (the benchmark traces them): _fit_logistic_newton and
-    _fit_lasso_prox at each alpha, which return _newton's solver vector and
-    report, and fit_linear_svm when the grid holds one cost. Every Newton
+    _softmax_newton, the lasso's alpha as its l1, and its hinge solves at
+    every cost are one stacked solve of _hinge_ipm; every problem of a
+    stack equals its solve on its own bit for bit. At K = 2 a group of one
+    goes through the one-problem entries instead (the benchmark traces
+    them): _fit_logistic_newton and _fit_lasso_prox at each alpha, which
+    return _softmax_newton's solver vector and report, and fit_linear_svm
+    when the grid holds one cost. Every Newton
     solution is zero-filled to the full width in one place. So the result
     is the same whatever the stack, and a stack of
     B designs holds B (m n p + (m + p)^2) floats while it solves (hinge: at
@@ -780,10 +758,9 @@ def fit_path(Q, positions, learner: str,
                 entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton
                 x, report = entry(Qg[0, 0], positions, lam, None if warm is None else warm[0])
                 X, reports = x[None], [report]
-            elif learner == "lasso":
-                X, reports = _newton(Qg, positions, 0.0, warm, l1=lam)
             else:
-                X, reports = _newton(Qg, positions, lam, warm)
+                ridge, l1 = (0.0, lam) if learner == "lasso" else (lam, 0.0)
+                X, reports = _softmax_newton(Qg, positions, ridge, warm, l1)
             for i, x, report in zip(members, X, reports):
                 fits[i][a] = (_zero_filled(x, keep, m), report)
     return fits

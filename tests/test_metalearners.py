@@ -285,8 +285,7 @@ class TestRidgeNewton:
         # ridge, and the lasso (l1 > 0), whose objective is the penalized one
         for lam, l1 in ((0.05, 0.0), (0.0, 0.05)):
             losses = _objective_per_budget(
-                monkeypatch, lambda: _softmax_newton(
-                    Z[None, None], (y == 1)[None].astype(float), lam, l1=l1)[1][0])
+                monkeypatch, lambda: _softmax_newton(Z[None, None], y - 1, lam, l1=l1)[1][0])
             assert len(losses) >= 2
             diffs = np.diff(np.asarray(losses))
             assert np.all(diffs <= 1e-12)
@@ -433,12 +432,11 @@ class TestStackedNewton:
         y = np.repeat([1, 2], 20)
         Z = rng.standard_normal((3, 40, 3)) + (y[:, None] - 1.5)
         Z[2, :, 1] = Z[2, :, 0] = 1e8 * rng.standard_normal(40)
-        Y = (y == 1)[None].astype(float)
         X0 = np.zeros((3, 4))
         X0[1, 1:] = [-40.0, 25.0, -30.0]
-        X, reports = _softmax_newton(Z[:, None], Y, lam, X0, l1=l1)
+        X, reports = _softmax_newton(Z[:, None], y - 1, lam, X0, l1=l1)
         for i in range(3):
-            Xi, [ri] = _softmax_newton(Z[i:i + 1, None], Y, lam, X0[i:i + 1], l1=l1)
+            Xi, [ri] = _softmax_newton(Z[i:i + 1, None], y - 1, lam, X0[i:i + 1], l1=l1)
             assert np.array_equal(Xi[0], X[i]) and ri == reports[i]
         assert reports[0].converged and reports[1].converged
         assert reports[1].iterations > reports[0].iterations

@@ -406,12 +406,12 @@ class TestFit:
     def test_objective_trace_monotone(self, monkeypatch):
         # the final loss at budgets 1, 2, ... is the objective after each step
         _, _, design = _random_problem(18, n=40, K=3, p=4, separation=2.0)
-        _, [full] = _softmax_newton(design[0][None], _indicators(design), 0.05)
+        _, [full] = _softmax_newton(design[0][None], design[1], 0.05)
         losses = []
         for budget in range(1, full.iterations + 1):
             monkeypatch.setattr(metalearners, "MAX_ITER", budget)
             losses.append(
-                _softmax_newton(design[0][None], _indicators(design), 0.05)[1][0].final_loss)
+                _softmax_newton(design[0][None], design[1], 0.05)[1][0].final_loss)
         assert len(losses) >= 2
         assert np.all(np.diff(np.asarray(losses)) <= 1e-12)
 
