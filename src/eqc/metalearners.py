@@ -238,6 +238,13 @@ def _softmax_newton(
     solve on its own (B = 1). The stack holds B (n p + (m + p)^2) floats of
     designs and Hessians: about 1 MB for 19 problems at n = 80, p = 50.
 
+    Each Newton system is the Hessian with every diagonal entry H_ii raised
+    by 1e-12 max(H_ii, 1), which keeps a system definite where equal
+    columns leave the Hessian singular. The shift is relative because the
+    weight block grows like s^2 with the units s of the features: an
+    absolute 1e-12 stops acting from about s = 1e4, the direction is then
+    rounding noise along the null space, and no backtrack passes.
+
     Near the optimum the Armijo test compares numbers equal up to rounding:
     a predicted decrease -g.d below ulp(f) cannot show in f. So the full
     step is also accepted when -g.d <= 16 ulp(f) and it raises f by at most
@@ -296,7 +303,8 @@ def _softmax_newton(
                 return out, reports
             live, Q, X, f, S, lse, G, P = (v[rest] for v in (live, Q, X, f, S, lse, G, P))
         H = _softmax_hessian(Q, lam, P)
-        H.reshape(live.size, -1)[:, :: m + p + 1] += 1e-12
+        diagonal = H.reshape(live.size, -1)[:, :: m + p + 1]
+        diagonal += 1e-12 * np.maximum(diagonal, 1.0)
         if l1:
             D = np.array([_l1_newton_step(*args, m, t) for args in zip(H, G, X)])
             gd = _rowdot(G, D) + penalty(X + D) - penalty(X)

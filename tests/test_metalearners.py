@@ -424,10 +424,10 @@ class TestStackedNewton:
     def test_backtracking_and_singular_problems_stay_apart(self, lam, l1):
         # problem 1 starts far out, where full Newton steps overshoot, so it
         # backtracks while problem 0 takes full steps; problem 2 has two
-        # equal columns of scale 1e8, so its Hessian is singular (the
-        # batched solve fails for the whole stack). Without l1 its gradient
-        # step is too long for any backtrack, so no step is accepted; the
-        # lasso's orthant blocks are singular too, and its sweeps still move
+        # equal columns of scale 1e8, so its Hessian is singular but for
+        # the diagonal shift, which is relative to the diagonal and so
+        # still fixes the null direction at that scale; the lasso's
+        # orthant blocks are singular too, and its sweeps still move
         rng = _rng(3)
         y = np.repeat([1, 2], 20)
         Z = rng.standard_normal((3, 40, 3)) + (y[:, None] - 1.5)
@@ -438,12 +438,8 @@ class TestStackedNewton:
         for i in range(3):
             Xi, [ri] = _softmax_newton(Z[i:i + 1, None], y - 1, lam, X0[i:i + 1], l1=l1)
             assert np.array_equal(Xi[0], X[i]) and ri == reports[i]
-        assert reports[0].converged and reports[1].converged
+        assert all(r.converged for r in reports)
         assert reports[1].iterations > reports[0].iterations
-        if l1:
-            assert reports[2].converged
-        else:
-            assert not reports[2].converged and reports[2].iterations == 0
 
     @pytest.mark.parametrize("learner", ["ridge", "lasso", "hinge"])
     def test_count_data_with_two_column_masks(self, learner):
@@ -775,6 +771,35 @@ class TestLassoProx:
         [[(coef, _)]] = fit_path(Z[None, None], y - 1, "lasso", [0.1])
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
+
+
+class TestNewtonInAnyUnits:
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["plain", "duplicated"])
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_scale_sweep_converges(self, monkeypatch, scale, duplicated):
+        # raw features keep their units, and two equal columns leave the
+        # weight block singular up to the diagonal shift, which grows like
+        # scale^2 with it; every CV and refit fit of the Newton learners
+        # converges at every scale
+        data = generate(ScenarioSpec("t3", 100, 5, seed=0), 2).train
+        X = data.X.copy()
+        if duplicated:
+            X[:, 1] = X[:, 0]
+        grid = TuningGrid((0.3, 0.5, 0.7), (0.001, 0.1, 10.0), folds=3)
+        reports = []
+
+        def recording(*args):
+            fits = fit_path(*args)
+            reports.extend(report for row in fits for _, report in row)
+            return fits
+
+        monkeypatch.setattr("eqc.selection.fit_path", recording)
+        monkeypatch.setattr("eqc.binary.fit_path", recording)
+        for learner, count in (("ridge", 28), ("logistic", 10), ("lasso", 28)):
+            reports.clear()
+            tune_and_train(Dataset(scale * X, data.y), grid, learner)
+            assert len(reports) == count  # every cell of every fold, and the refit
+            assert all(r.converged for r in reports), learner
 
 
 class TestHinge:
