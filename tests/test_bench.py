@@ -392,6 +392,13 @@ class TestConfigFile:
         assert config.scenario == ScenarioSpec("t3", 100, 50)
         assert config == ExperimentConfig(("qc",), 1, TuningGrid(), config.scenario)
 
+    @pytest.mark.parametrize("scaling, expected", [("sd", "sd"), ("none", None)])
+    def test_flag_and_scaling_keys(self, scaling, expected):
+        config = config_from_mapping({"stratified": "0", "dependent": "1", "scaling": scaling})
+        assert config.grid == TuningGrid(stratified=False)
+        assert config.scenario == ScenarioSpec("t3", 100, 50, dependent=True)
+        assert config.scaling == expected
+
     def test_range_grid_points_are_decimal(self):
         grid = _parse_grid_token("range:0.05:0.95:19")
         assert 0.5 in grid

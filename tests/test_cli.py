@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eqc.quantiles
-from eqc import load_dense_csv
+from eqc import TuningGrid, load_dense_csv, tune_and_train
 from eqc.cli import cli_entry
 
 
@@ -55,6 +55,25 @@ class TestFitPredict:
         lines = p1.read_text().strip().splitlines()
         assert lines[0] == "index,prediction,score"
         assert len(lines) == 61
+
+    def test_cv_out_is_the_cv_table(self, tmp_path):
+        train = tmp_path / "train.csv"
+        cli_entry([
+            "simulate", "--family", "t3", "--n", "40", "--p", "4",
+            "--seed", "2", "--out", str(train),
+        ])
+        cv_out = tmp_path / "cv.csv"
+        code = cli_entry([
+            "fit", "--data", str(train), "--classifier", "eqc-ridge",
+            "--theta-grid", "0.3,0.7", "--alpha-grid", "0.1,1.0",
+            "--folds", "3", "--seed", "5", "--out", str(tmp_path / "model.txt"),
+            "--cv-out", str(cv_out),
+        ])
+        assert code == 0
+        grid = TuningGrid((0.3, 0.7), (0.1, 1.0), folds=3, seed=5)
+        _, cv = tune_and_train(load_dense_csv(train), grid, "ridge")
+        assert cv_out.read_text().splitlines() == cv.to_csv_rows()
+        assert len(cv.to_csv_rows()) == 1 + 2 * 2 * 3
 
     def test_multiclass_fit_predict(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(4))
