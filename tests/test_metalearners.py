@@ -777,9 +777,9 @@ class TestNewtonInAnyUnits:
     @pytest.mark.parametrize("duplicated", [False, True], ids=["plain", "duplicated"])
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
     def test_scale_sweep_converges(self, monkeypatch, scale, duplicated):
-        # raw features keep their units, and two equal columns leave the
-        # weight block singular up to the diagonal shift, which grows like
-        # scale^2 with it; every CV and refit fit of the Newton learners
+        # raw features keep their units; with two equal columns the weight
+        # block is singular but for the diagonal shift, and both grow like
+        # scale^2, so every CV and refit fit of the Newton learners
         # converges at every scale
         data = generate(ScenarioSpec("t3", 100, 5, seed=0), 2).train
         X = data.X.copy()
