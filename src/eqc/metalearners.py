@@ -317,13 +317,15 @@ def _softmax_newton(
                 gd[fallback] = _rowdot(G[fallback], D[fallback])
 
         # backtrack the positions todo whose step is not accepted yet; they
-        # all share the current step, and those left at the floor are stuck
+        # all share the current step, and those left at the floor are stuck.
+        # While todo is the whole stack it is read, not gathered, and if all
+        # of it accepts, the trial arrays are kept rather than scattered.
         step = 1.0
         todo = np.arange(live.size)
         while todo.size and step > 1e-14:
-            f0, gd0, X_new = f[todo], gd[todo], X[todo] + step * D[todo]
-            f_new, S_new, lse_new = _softmax_terms(Q if todo.size == live.size else Q[todo],
-                                                   Y, lam, X_new)
+            at = todo if todo.size < live.size else slice(None)
+            f0, gd0, X_new = f[at], gd[at], X[at] + step * D[at]
+            f_new, S_new, lse_new = _softmax_terms(Q[at], Y, lam, X_new)
             if l1:
                 f_new = f_new + penalty(X_new)
             ok = f_new <= f0 + ARMIJO * step * gd0
@@ -331,7 +333,10 @@ def _softmax_newton(
                 ulp = np.spacing(np.abs(f0))
                 ok |= (-gd0 <= 16 * ulp) & (f_new - f0 <= 4 * ulp)
             done = todo[ok]
-            X[done], f[done], S[done], lse[done] = X_new[ok], f_new[ok], S_new[ok], lse_new[ok]
+            if done.size == live.size:
+                X, f, S, lse = X_new, f_new, S_new, lse_new
+            else:
+                X[done], f[done], S[done], lse[done] = X_new[ok], f_new[ok], S_new[ok], lse_new[ok]
             todo = todo[~ok]
             step *= BACKTRACK
         stuck = np.zeros(live.size, dtype=bool)
