@@ -294,15 +294,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _parse_grid_token(token: str) -> tuple:
     """A comma list, range:lo:hi:n (n evenly spaced, rounded to 12 decimals so
-    that 0.5 is 0.5) or logrange:lo:hi:n (n log-spaced)."""
+    that 0.5 is 0.5) or logrange:lo:hi:n (n log-spaced); a ValueError for
+    anything else."""
     token = token.strip()
-    if token.startswith("range:"):
-        _, lo, hi, num = token.split(":")
-        return tuple(np.round(np.linspace(float(lo), float(hi), int(num)), 12))
-    if token.startswith("logrange:"):
-        _, lo, hi, num = token.split(":")
-        return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num)))
-    return tuple(float(t) for t in token.split(","))
+    try:
+        with np.errstate(divide="raise", invalid="raise"):  # log10 of lo or hi <= 0
+            if token.startswith("range:"):
+                _, lo, hi, num = token.split(":")
+                return tuple(np.round(np.linspace(float(lo), float(hi), int(num)), 12))
+            if token.startswith("logrange:"):
+                _, lo, hi, num = token.split(":")
+                return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num)))
+            return tuple(float(t) for t in token.split(","))
+    except (ValueError, FloatingPointError):
+        raise ValueError("expected a comma list, range:lo:hi:n or logrange:lo:hi:n "
+                         "with lo, hi > 0") from None
+
+
+def _read(name: str, value: str, convert):
+    """convert(value), for the config key or command-line flag name; a value
+    that convert cannot read raises a DomainError naming both."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise DomainError(f"{name}: cannot read {value!r} ({exc})") from None
 
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -347,7 +362,7 @@ _CONFIG_KEYS = {"test_size": int, "outer_folds": int, "feature_selection": str,
 
 def _given(raw: dict[str, str], keys: dict) -> dict:
     """The keys that raw holds, converted; the others keep their defaults."""
-    return {k: convert(raw[k]) for k, convert in keys.items() if k in raw}
+    return {k: _read(k, raw[k], convert) for k, convert in keys.items() if k in raw}
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
@@ -359,8 +374,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise DomainError(f"unknown family {family!r}")
         fields["scenario"] = ScenarioSpec(
             family=family,
-            n_train=int(raw.get("n_train", 100)),
-            p=int(raw.get("p", 50)),
+            n_train=_read("n_train", raw.get("n_train", "100"), int),
+            p=_read("p", raw.get("p", "50"), int),
             **_given(raw, _SCENARIO_KEYS),
         )
     elif mode == "dense":
@@ -381,7 +396,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     )
     return ExperimentConfig(
         classifiers=classifiers,
-        replications=int(raw.get("replications", 1)),
+        replications=_read("replications", raw.get("replications", "1"), int),
         grid=TuningGrid(**_given(raw, _GRID_KEYS)),
         **fields,
         **_given(raw, _CONFIG_KEYS),

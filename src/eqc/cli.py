@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bench import (
-    CLASSIFIERS, _parse_grid_token, classifier_grid, config_from_file, run_experiment,
+    CLASSIFIERS, _parse_grid_token, _read, classifier_grid, config_from_file, run_experiment,
 )
 from .binary import eqc_scores, labels_from_scores
 from .data import Dataset
@@ -94,9 +94,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     data = load_dense_csv(args.data)
     theta_grid = (DEFAULT_THETA_GRID if args.theta_grid is None
-                  else _parse_grid_token(args.theta_grid))
+                  else _read("--theta-grid", args.theta_grid, _parse_grid_token))
     alpha_grid = (DEFAULT_ALPHA_GRID if args.alpha_grid is None
-                  else _parse_grid_token(args.alpha_grid))
+                  else _read("--alpha-grid", args.alpha_grid, _parse_grid_token))
     learner, grid = classifier_grid(args.classifier, theta_grid, alpha_grid,
                                     args.folds, not args.no_stratify, args.seed)
     model, cv = tune_and_train(data, grid, learner, scaling=args.scaling)

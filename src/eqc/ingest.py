@@ -120,8 +120,10 @@ def load_dense_csv(path) -> Dataset:
             raise ParseError('first column must be named "label"', line=1)
         body = fh.read()
     try:
-        # fast path; falls back to a line-by-line scan for diagnostics
-        M = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        # fast path; falls back to a line-by-line scan for diagnostics.
+        # loadtxt warns on a body without data, so an empty one skips it
+        M = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+             if body.strip() else np.empty((0, len(header))))
         if M.size and M.shape[1] != len(header):
             raise ValueError("column count mismatch")
     except ValueError:

@@ -5,7 +5,7 @@ Convex objectives on a design: the K-1 class transforms Q (K-1, n, p) of
 
 * the softmax deviance with one shared weight vector, for any K >= 2
   classes, ridge- or lasso-penalized, minimized by the one damped Newton
-  solver (proximal Newton for the lasso), which solves a stack of such
+  solver (orthant-wise Newton for the lasso), which solves a stack of such
   problems in lockstep. At K = 2 it is the binomial deviance of the ridge,
   logistic (lambda = 0), EMC and lasso learners; at K >= 3 it is the
   multiclass-ridge learner,
@@ -33,10 +33,10 @@ VALID_PENALTIES = ("ridge", "lasso", "hinge")
 # TOL is the threshold on the minimum-norm subgradient norm for Newton
 # (ridge, logistic, EMC, multiclass-ridge and lasso; the gradient norm
 # without the lasso penalty); the hinge solver stops at a duality gap of
-# TOL / 10 in hinge_loss units. MAX_ITER bounds the Newton steps and the
-# hinge interior-point steps. ARMIJO (the sufficient-decrease fraction) and
-# BACKTRACK (the step shrink factor) set the Newton line search, the
-# lasso's too; the hinge solver has no line search and ignores them.
+# TOL / 10 in hinge_loss units. MAX_ITER bounds the Newton steps, with no
+# inner loop for the lasso, and the hinge interior-point steps. ARMIJO and
+# BACKTRACK (sufficient-decrease fraction, step shrink factor) set the
+# Newton line search, the lasso's too; the hinge solver ignores them.
 TOL = 1e-8
 MAX_ITER = 500
 ARMIJO = 1e-4
@@ -97,8 +97,8 @@ class SolverReport:
     final_loss is the objective the solver minimizes: the penalized mean
     negative log-likelihood (Newton, every K, and lasso; the penalized
     binomial deviance at K = 2) or hinge_loss (hinge). iterations counts
-    the steps taken, at most MAX_ITER: Newton steps (proximal Newton steps
-    for the lasso) or hinge interior-point steps. converged is True only
+    the steps taken, at most MAX_ITER: Newton steps (orthant-wise Newton
+    steps for the lasso) or hinge interior-point steps. converged is True only
     when the stopping rule, at TOL (TOL / 10 for the hinge gap), holds
     (and, for an unpenalized Newton fit at K = 2, when the fit does not
     separate the classes). grad_norm_at_exit is the norm of the
@@ -260,11 +260,19 @@ def _softmax_newton(
     gradient norm.
 
     With l1 > 0 (the lasso, at lam = 0) the objective gains (l1/2)||w||_1
-    and the loop is proximal Newton (Lee, Sun & Saunders, SIAM J. Optim.
-    2014): _l1_newton_step minimizes each problem's model (a singular
-    orthant block keeps its sweep's point), and the Armijo test runs on
-    the penalized objective. The solve stops when the minimum-norm
-    subgradient (the gradient at l1 = 0) has norm below TOL.
+    and each step is orthant-wise Newton (OWL-QN, Andrew & Gao, ICML 2007;
+    orthant-based Newton, Byrd, Chin, Nocedal & Oztoprak, Math. Prog.
+    2016) in the same batched solve, with the minimum-norm subgradient V
+    in place of the gradient. Each weight keeps its sign, or at zero takes
+    that of -V (fixed where V = 0); fixed coordinates get identity rows
+    and zero right-hand sides, and a zero weight whose step leaves its
+    orthant stays at zero. The line search tries the full step with each
+    weight that crosses zero stopped there, then the step to the first
+    zero and its halves, Armijo against V . (X_new - X). Where more
+    coordinates are free than the design has rows, the system is singular
+    but for the shift, the step runs far along its null space, where the
+    loss is flat, and only the stop at the first zero passes. The solve
+    stops when V has norm below TOL.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     B, m, _, p = Q.shape
@@ -302,19 +310,30 @@ def _softmax_newton(
             if not np.count_nonzero(rest):
                 return out, reports
             live, Q, X, f, S, lse, G, P = (v[rest] for v in (live, Q, X, f, S, lse, G, P))
+            V = V[rest] if l1 else G
         H = _softmax_hessian(Q, lam, P)
         diagonal = H.reshape(live.size, -1)[:, :: m + p + 1]
         diagonal += 1e-12 * np.maximum(diagonal, 1.0)
         if l1:
-            D = np.array([_l1_newton_step(*args, m, t) for args in zip(H, G, X)])
-            gd = _rowdot(G, D) + penalty(X + D) - penalty(X)
-        else:
-            D = _solve_each(H, -G[:, :, None])[:, :, 0]
-            gd = _rowdot(G, D)
-            fallback = ~((gd < 0.0) & np.isfinite(gd))  # not a finite descent direction
-            if np.count_nonzero(fallback):
-                D[fallback] = -G[fallback]
-                gd[fallback] = _rowdot(G[fallback], D[fallback])
+            # each weight's orthant: its sign, or at zero the sign of -V;
+            # a zero weight with V = 0 stays fixed (identity row, zero V)
+            orthant = np.where(X != 0.0, np.sign(X), -np.sign(V))
+            orthant[:, :m] = 0.0
+            free = orthant != 0.0
+            free[:, :m] = True
+            H = np.where(free[:, :, None] & free[:, None, :], H, np.eye(m + p))
+        D = _solve_each(H, -V[:, :, None])[:, :, 0]
+        if l1:  # a zero weight whose step leaves its orthant stays at zero
+            D[(X == 0.0) & (D * orthant < 0.0)] = 0.0
+        gd = _rowdot(V, D)
+        fallback = ~((gd < 0.0) & np.isfinite(gd))  # not a finite descent direction
+        if np.count_nonzero(fallback):
+            D[fallback] = -V[fallback]
+            gd[fallback] = _rowdot(V[fallback], D[fallback])
+        if l1:  # the step to where the first weight reaches zero, exactly
+            ratios = np.divide(-X, D, out=np.full(X.shape, np.inf), where=D * orthant < 0.0)
+            tau = np.minimum(1.0, ratios.min(axis=1))[:, None]
+            D_stop = np.where(ratios <= tau, -X, tau * D)
 
         # backtrack the positions todo whose step is not accepted yet; they
         # all share the current step, and those left at the floor are stuck.
@@ -324,11 +343,19 @@ def _softmax_newton(
         todo = np.arange(live.size)
         while todo.size and step > 1e-14:
             at = todo if todo.size < live.size else slice(None)
-            f0, gd0, X_new = f[at], gd[at], X[at] + step * D[at]
+            f0, gd0 = f[at], gd[at]
+            if l1 and step < 1.0:  # D_stop, then its halves
+                X_new = X[at] + (2.0 * step) * D_stop[at]
+            else:
+                X_new = X[at] + step * D[at]
+                if l1:  # each weight that crosses zero stops there
+                    X_new[X_new * orthant[at] < 0.0] = 0.0
             f_new, S_new, lse_new = _softmax_terms(Q[at], Y, lam, X_new)
             if l1:
                 f_new = f_new + penalty(X_new)
-            ok = f_new <= f0 + ARMIJO * step * gd0
+                ok = f_new <= f0 + ARMIJO * _rowdot(V[at], X_new - X[at])
+            else:
+                ok = f_new <= f0 + ARMIJO * step * gd0
             if step == 1.0 and np.count_nonzero(ok) < ok.size:
                 ulp = np.spacing(np.abs(f0))
                 ok |= (-gd0 <= 16 * ulp) & (f_new - f0 <= 4 * ulp)
@@ -349,54 +376,6 @@ def _min_norm_subgradient(G, X, m, t):
     W, Gw = X[:, m:], G[:, m:]
     shrunk = np.sign(Gw) * np.maximum(np.abs(Gw) - t, 0.0)
     return np.concatenate((G[:, :m], np.where(W != 0.0, Gw + t * np.sign(W), shrunk)), axis=1)
-
-
-def _l1_newton_step(H, g, x, m, t):
-    """Minimizer d of the model g.d + d'Hd/2 + t||w + d_w||_1, for z = x + d.
-
-    Each round is one cyclic coordinate-descent sweep (exact in each
-    coordinate, soft-thresholding the weights), then one Newton step on the
-    model over the orthant the sweep left, where it is quadratic: zero
-    weights stay zero, the others keep their signs, and the step stops at
-    the first weight that reaches zero, so no round raises the model. The
-    solve stops when a sweep moves no coordinate by TOL or more, when the
-    orthant's block of H is singular (the sweep's point is kept), or after
-    MAX_ITER rounds.
-    """
-    z = x.tolist()
-    d = np.zeros(x.size)
-    rows, gl, diag = list(H), g.tolist(), H.diagonal().tolist()
-    for _ in range(MAX_ITER):
-        largest = 0.0
-        for i in range(x.size):
-            # g[i] + H[i] . d is the model's smooth slope in coordinate i
-            zi = z[i] - (gl[i] + float(rows[i] @ d)) / diag[i]
-            if i >= m:
-                a = abs(zi) - t / diag[i]
-                zi = 0.0 if a <= 0.0 else (a if zi > 0.0 else -a)
-            move = zi - z[i]
-            if move != 0.0:
-                z[i] = zi
-                d[i] += move
-                largest = max(largest, abs(move))
-        if largest < TOL:
-            break
-        zv = np.array(z)
-        s = np.sign(zv)
-        s[:m] = 0.0
-        F = np.concatenate((np.arange(m), np.flatnonzero(s)))  # the free coordinates
-        try:
-            step = np.linalg.solve(H[np.ix_(F, F)], -(g[F] + H[F] @ d + t * s[F]))
-        except np.linalg.LinAlgError:  # a singular orthant block: keep the sweep's point
-            break
-        ratios = np.divide(-zv[F], step, out=np.full(F.size, np.inf),
-                           where=s[F] * step < 0.0)  # where each weight reaches zero
-        tau = min(1.0, ratios.min())
-        zv[F] += tau * step
-        zv[F[ratios <= tau]] = 0.0
-        z = zv.tolist()
-        d = zv - x
-    return np.array(z) - x
 
 
 def _fit_logistic_newton(
@@ -714,9 +693,10 @@ def fit_path(Q, positions, learner: str,
 
     Designs with the same dropped columns form a group. A group's Newton
     solves at each alpha (ridge, lasso, logistic) are one stacked solve of
-    _softmax_newton, the lasso's alpha as its l1, and its hinge solves at
-    every cost are one stacked solve of _hinge_ipm; every problem of a
-    stack equals its solve on its own bit for bit. At K = 2 a group of one
+    _softmax_newton, the lasso's alpha as its l1 (its orthant-wise steps
+    keep the same lockstep), and its hinge solves at every cost are one
+    stacked solve of _hinge_ipm; every problem of a stack equals its solve
+    on its own bit for bit. At K = 2 a group of one
     goes through the one-problem entries instead (the benchmark traces
     them): _fit_logistic_newton and _fit_lasso_prox at each alpha, which
     return _softmax_newton's solver vector and report, and fit_linear_svm

@@ -184,6 +184,30 @@ class TestUsageErrors:
     def test_missing_subcommand_exits_2(self):
         assert cli_entry([]) == 2
 
+    @pytest.mark.parametrize("command, name, value", [
+        ("fit", "--theta-grid", "abc"),
+        ("fit", "--theta-grid", "range:0.1:0.9"),
+        ("fit", "--alpha-grid", "logrange:1:10:x"),
+        ("fit", "--alpha-grid", "logrange:-1:10:5"),
+        ("bench", "theta_grid", "range:0.1"),
+        ("bench", "replications", "two"),
+    ])
+    def test_malformed_value_exits_1_naming_it(self, tmp_path, capsys, command, name, value):
+        if command == "fit":
+            data = tmp_path / "d.csv"
+            data.write_text("label,v1\n1,0.5\n2,1.5\n1,0.2\n2,1.1\n")
+            argv = ["fit", "--data", str(data), "--classifier", "eqc-ridge", name, value,
+                    "--out", str(tmp_path / "model.txt")]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"classifiers = qc\n{name} = {value}\nout = {tmp_path}\n")
+            argv = ["bench", "--config", str(cfg)]
+        assert cli_entry(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert name in err and repr(value) in err
+        assert "Traceback" not in err
+
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         code = cli_entry([
             "predict", "--model", str(tmp_path / "missing.txt"),

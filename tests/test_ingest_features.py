@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ class TestDenseCsv:
         path.write_text("label,v1,v2\n1,0.5,0.5\n2,0.5\n")
         with pytest.raises(ParseError, match="line 3"):
             load_dense_csv(path)
+
+    @pytest.mark.parametrize("text", ["label,v1\n", "label,v1\n\n  \n\n"],
+                             ids=["header", "blank-lines"])
+    def test_no_data_rows_raise_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="^line 2: no data rows$"):
+                load_dense_csv(path)
 
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -426,8 +426,9 @@ class TestStackedNewton:
         # backtracks while problem 0 takes full steps; problem 2 has two
         # equal columns of scale 1e8, so its Hessian is singular but for
         # the diagonal shift, which is relative to the diagonal and so
-        # still fixes the null direction at that scale; the lasso's
-        # orthant blocks are singular too, and its sweeps still move
+        # still fixes the null direction at that scale; the lasso's free
+        # blocks are singular too and take the same shift, with the same
+        # gradient fallback behind it
         rng = _rng(3)
         y = np.repeat([1, 2], 20)
         Z = rng.standard_normal((3, 40, 3)) + (y[:, None] - 1.5)
@@ -684,7 +685,8 @@ def _lasso_referee(Z, y, lam):
 
 class TestLassoProx:
     @pytest.mark.parametrize("seed, n, p, lam", [(81, 30, 3, 0.02), (83, 50, 6, 0.1),
-                                                 (89, 80, 10, 0.005)])
+                                                 (89, 80, 10, 0.005),
+                                                 (114, 20, 60, 0.03)])  # p > n
     def test_not_above_lbfgsb_referee(self, seed, n, p, lam):
         rng = _rng(seed)
         Z = rng.standard_normal((n, p))
@@ -717,9 +719,10 @@ class TestLassoProx:
 
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_duplicated_column_at_a_large_scale(self, scale):
-        # the two equal columns make the orthant Newton block singular once
-        # both weights are free; the sweep's point is kept there, so CV and
-        # the refit go on
+        # the two equal columns make the lasso's Newton system singular once
+        # both weights are free; the relative diagonal shift and the
+        # gradient fallback that ridge uses serve it too, so CV and the
+        # refit go on
         data = generate(ScenarioSpec("t3", 100, 5, seed=0), 2).train
         X = data.X.copy()
         X[:, 1] = X[:, 0]
