@@ -334,10 +334,11 @@ class TestGoldenOutputs:
     # each case holds an experiment file, its inputs, and the report CSVs
     # that the run wrote when the case was added; every byte must stay.
     # Binary classifiers fail on 3 classes, so dense3 runs eqc-multiclass
-    # alone and qc rides in the scenario case.
+    # alone and qc rides in the scenario case. scaled is the one case that
+    # sets scaling (mad), so it pins the scaled CV and refit path.
     OUTPUTS = ("errors_long.csv", "summary.csv", "sensitivities.csv")
 
-    @pytest.mark.parametrize("case", ["dense3", "scenario", "dtm"])
+    @pytest.mark.parametrize("case", ["dense3", "scenario", "dtm", "scaled"])
     def test_report_files_byte_identical(self, case, tmp_path):
         case_dir = FIXTURES / case
         cfg = case_dir / "experiment.cfg"
