@@ -121,16 +121,13 @@ def qc_discriminant(x, table: QuantileTable):
     return z @ np.ones(table.p)
 
 
-def class_transforms(x, table: QuantileTable, scaling: VariableScaling | None = None):
+def class_transforms(x, table: QuantileTable):
     """The K-1 transforms Q^(k,K)(x) against the last class, on axis 0.
 
-    x is a point (p,) or a matrix (n, p), scaled first when a scaling is
-    given; the result has shape (K-1,) + x.shape. For K = 2 its one entry
-    is the binary transform, first class against second.
+    x is a point (p,) or a matrix (n, p) in the table's units (scaled, for
+    a scaled fit); the result has shape (K-1,) + x.shape. For K = 2 its one
+    entry is the binary transform, first class against second.
     """
-    x = np.asarray(x, dtype=float)
-    if scaling is not None:
-        x = scaling.apply(x)
     ids = table.class_ids
     ref = int(ids[-1])
     return np.stack([quantile_difference_transform(x, table, int(k), ref) for k in ids[:-1]])
@@ -139,9 +136,11 @@ def class_transforms(x, table: QuantileTable, scaling: VariableScaling | None = 
 def eqc_scores(x, model: FittedEqc) -> np.ndarray:
     """Scores S[..., k] = b_k + w . Q^(k,K)(x) of raw inputs, scaling applied.
 
-    Shape (n, K-1) for a matrix, (K-1,) for a point.
+    x is in raw units; the model's scaling, if any, is applied here. Shape
+    (n, K-1) for a matrix, (K-1,) for a point.
     """
-    return model.coef.scores(class_transforms(x, model.table, model.scaling))
+    x = x if model.scaling is None else model.scaling.apply(x)
+    return model.coef.scores(class_transforms(x, model.table))
 
 
 def eqc_discriminant(x, model: FittedEqc):
@@ -186,22 +185,24 @@ def fit_binary_eqc(
     regression) and 'unit-weights' (pure QC: intercept 0, weights 1, no
     solver), which ignore alpha. Constant transformed columns get weight
     exactly 0. EMC is this with theta fixed at 0.5 and a ridge penalty.
+
+    train is in raw units. A scaling ('sd' or 'mad') is computed from it
+    and applied once: the table and the transforms are in scaled units,
+    and the model scales what it scores. Both classes must be present, at
+    any size.
     """
     ids = train.class_ids
     if ids.size != 2:
         raise FitError(f"binary fit requires exactly 2 classes, got {ids.size}")
     scaler = compute_scaling(train.X, scaling) if scaling is not None else None
-    fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
-    table = estimate_quantile_table(fit_data, theta)
+    train = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
+    table = estimate_quantile_table(train, theta)
 
-    positions = np.searchsorted(ids, train.y)
     if learner == "unit-weights":
         Q = np.empty((1, 0, train.p))  # QC's weights are fixed: only p is read
     else:
-        if np.min(np.bincount(positions)) < 2:
-            raise FitError("each class needs at least 2 observations")
-        Q = class_transforms(train.X, table, scaler)
-    [[(coef, report)]] = fit_path(Q[None], positions, learner, [alpha])
+        Q = class_transforms(train.X, table)
+    [[(coef, report)]] = fit_path(Q[None], np.searchsorted(ids, train.y), learner, [alpha])
     return FittedEqc(theta, table, coef, learner, scaler, report)
 
 

@@ -37,14 +37,8 @@ def remove_low_frequency(dtm: SparseDtm, min_docs: int) -> tuple[SparseDtm, np.n
     remap = -np.ones(dtm.n_terms, dtype=int)
     remap[kept] = np.arange(kept.size)
     mask = remap[dtm.terms] >= 0
-    names = None
-    if dtm.term_names is not None:
-        names = [dtm.term_names[j] for j in kept]
-    out = SparseDtm(
-        dtm.n_docs, kept.size,
-        dtm.docs[mask], remap[dtm.terms[mask]], dtm.counts[mask],
-        dtm.labels, names,
-    )
+    out = SparseDtm(dtm.n_docs, kept.size, dtm.docs[mask], remap[dtm.terms[mask]],
+                    dtm.counts[mask], dtm.labels)
     return out, kept
 
 

@@ -11,7 +11,7 @@ Experiment and model files are flat "key = value" lines.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import DomainError, ParseError
 class SparseDtm:
     """Document-term counts as (doc, term, count) triples, 0-based in memory.
 
-    Never dense as a whole: subset builds only the rows and terms asked for.
+    Never dense as a whole: subset builds only the rows and terms asked for,
+    in raw counts; term j is named t{j+1}.
     """
 
     n_docs: int
@@ -32,7 +33,6 @@ class SparseDtm:
     terms: np.ndarray
     counts: np.ndarray
     labels: np.ndarray
-    term_names: list[str] | None = field(default=None)
 
     def __post_init__(self):
         docs = np.asarray(self.docs, dtype=int)
@@ -55,8 +55,6 @@ class SparseDtm:
             pairs = np.sort(docs.astype(np.int64) * self.n_terms + terms)
             if np.any(pairs[1:] == pairs[:-1]):
                 raise DomainError("duplicate (doc, term) pair")
-        if self.term_names is not None and len(self.term_names) != self.n_terms:
-            raise DomainError("term_names length does not match n_terms")
         object.__setattr__(self, "docs", docs)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "counts", counts)
@@ -82,8 +80,7 @@ class SparseDtm:
         # sums downstream follow the layout, so the last bits do too
         X = np.zeros((int(rows.sum()), cols.size), order="C" if full else "F")
         X[(np.cumsum(rows) - 1)[self.docs[keep]], col_of[self.terms[keep]]] = self.counts[keep]
-        names = self.term_names or [f"t{j + 1}" for j in range(self.n_terms)]
-        return Dataset(X, self.labels[rows], [names[j] for j in cols])
+        return Dataset(X, self.labels[rows], [f"t{j + 1}" for j in cols.tolist()])
 
     def document_frequencies(self) -> np.ndarray:
         """Number of documents each term appears in."""

@@ -268,7 +268,8 @@ def _softmax_newton(
     and zero right-hand sides, and a zero weight whose step leaves its
     orthant stays at zero. The line search tries the full step with each
     weight that crosses zero stopped there, then the step to the first
-    zero and its halves, Armijo against V . (X_new - X). Where more
+    zero (the half step if no weight reaches zero before the full step)
+    and its halves, Armijo against V . (X_new - X). Where more
     coordinates are free than the design has rows, the system is singular
     but for the shift, the step runs far along its null space, where the
     loss is flat, and only the stop at the first zero passes. The solve
@@ -332,7 +333,8 @@ def _softmax_newton(
             gd[fallback] = _rowdot(V[fallback], D[fallback])
         if l1:  # the step to where the first weight reaches zero, exactly
             ratios = np.divide(-X, D, out=np.full(X.shape, np.inf), where=D * orthant < 0.0)
-            tau = np.minimum(1.0, ratios.min(axis=1))[:, None]
+            tau = ratios.min(axis=1, keepdims=True)
+            tau[tau >= 1.0] = BACKTRACK  # none before the full step: its half
             D_stop = np.where(ratios <= tau, -X, tau * D)
 
         # backtrack the positions todo whose step is not accepted yet; they
@@ -345,7 +347,7 @@ def _softmax_newton(
             at = todo if todo.size < live.size else slice(None)
             f0, gd0 = f[at], gd[at]
             if l1 and step < 1.0:  # D_stop, then its halves
-                X_new = X[at] + (2.0 * step) * D_stop[at]
+                X_new = X[at] + (step / BACKTRACK) * D_stop[at]
             else:
                 X_new = X[at] + step * D[at]
                 if l1:  # each weight that crosses zero stops there

@@ -25,7 +25,6 @@ from .metalearners import Coefficients, SolverReport, fit_path
 from .quantiles import QuantileParams, QuantileTable, estimate_quantile_table
 from .binary import (
     FittedEqc,
-    VariableScaling,
     class_transforms,
     compute_scaling,
     eqc_scores,
@@ -33,19 +32,19 @@ from .binary import (
 )
 
 
-def build_design(data: Dataset, table: QuantileTable,
-                 scaling: VariableScaling | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_design(data: Dataset, table: QuantileTable) -> tuple[np.ndarray, np.ndarray]:
     """The class transforms and label positions of a dataset: the design.
 
-    Q[k, i] = Q^{(k,K)}(x_i), shape (K-1, n, p), as class_transforms gives
-    them; positions[i] is the index of x_i's class in the table's class
-    ids, so K-1 marks the reference class.
+    data is in the table's units (scaled, for a scaled fit). Q[k, i] =
+    Q^{(k,K)}(x_i), shape (K-1, n, p), as class_transforms gives them;
+    positions[i] is the index of x_i's class in the table's class ids, so
+    K-1 marks the reference class.
     """
     ids = table.class_ids
     if not np.all(np.isin(data.y, ids)):
         raise DomainError("data contains labels missing from the table")
     positions = np.searchsorted(ids, data.y)
-    return class_transforms(data.X, table, scaling), positions
+    return class_transforms(data.X, table), positions
 
 
 def fit_on_design(Q: np.ndarray, positions: np.ndarray,
@@ -70,14 +69,15 @@ def fit_multiclass_eqc(
     lam: float,
     scaling: str | None = None,
 ) -> FittedEqc:
-    """Estimate quantiles, assemble the design, and run the Newton fit."""
+    """Estimate quantiles, assemble the design, and run the Newton fit; train
+    is in raw units and scaled once, as in binary.fit_binary_eqc."""
     ids = train.class_ids
     if ids.size < 2:
         raise FitError("need at least 2 classes")
     scaler = compute_scaling(train.X, scaling) if scaling is not None else None
-    fit_data = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
-    table = estimate_quantile_table(fit_data, theta)
-    coef, report = fit_on_design(*build_design(train, table, scaler), lam)
+    train = train if scaler is None else Dataset(scaler.apply(train.X), train.y)
+    table = estimate_quantile_table(train, theta)
+    coef, report = fit_on_design(*build_design(train, table), lam)
     return FittedEqc(theta, table, coef, "multiclass-ridge", scaler, report)
 
 

@@ -138,26 +138,26 @@ def misclassification_rate(predictions, truth) -> float:
 def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> np.ndarray:
     """Errors (H, A) for one fold; scaling and quantiles come from tr only.
 
-    Per theta, both parts are turned into features once (the training part
-    not for unit-weights, whose weights are fixed). The learner is then
-    fitted at every (theta, alpha) by one fit_path call on the stack of the
-    fold's training designs, multiclass-ridge as fit_path's ridge at any K.
+    Both parts are scaled once, then per theta made features once (the
+    training part not for unit-weights, whose weights are fixed). The
+    learner is fitted at every (theta, alpha) by one fit_path call on the
+    stack of the fold's training designs, multiclass-ridge as ridge.
     Each fit is scored by the scores and the label rule its refit model
     predicts with.
     """
     errs = np.full((len(thetas), len(alphas)), np.nan)
-    scaler = compute_scaling(tr.X, scaling) if scaling is not None else None
-    tr_scaled = tr if scaler is None else Dataset(scaler.apply(tr.X), tr.y)
-    tables = [estimate_quantile_table(tr_scaled, QuantileParams.common(th, tr.p))
-              for th in thetas]
+    if scaling is not None:
+        scaler = compute_scaling(tr.X, scaling)
+        tr, te = (Dataset(scaler.apply(d.X), d.y) for d in (tr, te))
+    tables = [estimate_quantile_table(tr, QuantileParams.common(th, tr.p)) for th in thetas]
     if learner == "unit-weights":  # QC's weights are fixed: only p is read
         Q = np.empty((len(tables), 1, 0, tr.p))
     else:
-        Q = np.stack([class_transforms(tr.X, table, scaler) for table in tables])
+        Q = np.stack([class_transforms(tr.X, table) for table in tables])
     positions = np.searchsorted(tr.class_ids, tr.y)
     fits = fit_path(Q, positions, "ridge" if learner == "multiclass-ridge" else learner, alphas)
     for h, table in enumerate(tables):
-        Q_te = class_transforms(te.X, table, scaler)
+        Q_te = class_transforms(te.X, table)
         for a, (coef, _) in enumerate(fits[h]):
             pred = labels_from_scores(coef.scores(Q_te), table.class_ids)
             errs[h, a] = misclassification_rate(pred, te.y)

@@ -42,14 +42,15 @@ def rational_fisher_pvalue(a: int, b: int, c: int, d: int) -> float:
     return float(sum(p for p in probs.values() if p <= p_obs))
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
+    """Run the checks, one PASS/FAIL line each; True if all pass. They fit
+    unscaled data, so every transform is in its quantile table's units."""
     rng = np.random.Generator(np.random.PCG64(7))
     checks: list[tuple[str, bool]] = []
 
     def check(name, ok):
         checks.append((name, bool(ok)))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     # quantile distance basics
     check("quantile distance |u|/2 at theta=0.5",

@@ -14,12 +14,14 @@ from eqc import (
     eqc_discriminant,
     estimate_quantile_table,
     fit_binary_eqc,
+    fit_multiclass_eqc,
     load_model,
     predict_binary,
     qc_discriminant,
     save_model,
 )
 from eqc.binary import FittedEqc, class_transforms
+from eqc.metalearners import TOL
 from eqc.scenarios import ScenarioSpec, _sample_features
 from test_asymlaplace import sample_labeled
 from test_metalearners import binomial_loss
@@ -185,6 +187,30 @@ class TestFit:
             eqc_discriminant(pts, base), eqc_discriminant(pts_shift, moved), atol=1e-9
         )
 
+    @pytest.mark.parametrize("learner, alpha", [
+        ("ridge", 0.1), ("lasso", 0.1), ("hinge", 1.0),
+        ("logistic", np.nan), ("unit-weights", np.nan),
+    ])
+    def test_one_observation_of_a_class_fits(self, learner, alpha):
+        # fit_path's "every class present" is the one class-size rule, for
+        # the refit as for CV and fit_multiclass_eqc
+        X = _rng(3).standard_normal((21, 3))
+        data = Dataset(X, np.r_[1, np.full(20, 2)])
+        theta = QuantileParams.common(0.5, 3)
+        model = fit_binary_eqc(data, theta, learner, alpha)
+        assert np.all(np.isfinite(model.coef.weights))
+        if learner == "ridge":
+            soft = fit_multiclass_eqc(data, theta, alpha)
+            assert np.array_equal(model.coef.intercepts, soft.coef.intercepts)
+            assert np.array_equal(model.coef.weights, soft.coef.weights)
+            assert model.report == soft.report
+        elif learner == "logistic":  # separable: the certificate, not the stop
+            assert model.report.grad_norm_at_exit < TOL
+            assert not model.report.converged
+            assert np.all((2 * data.y - 3) * eqc_discriminant(X, model) > 0)
+        elif learner != "unit-weights":
+            assert model.report.converged
+
     def test_needs_two_classes(self):
         from eqc import FitError
 
@@ -235,7 +261,7 @@ class TestLosses:
         data = Dataset(X, y)
         theta = QuantileParams.common(0.4, 2)
         model = fit_binary_eqc(data, theta, "ridge", 0.3)
-        [Z] = class_transforms(data.X, model.table, model.scaling)
+        [Z] = class_transforms(data.X, model.table)
         lam = 0.3
         with_pen = binomial_loss(model.coef, ("ridge", lam), Z, y)
         assert empirical_loss(model, data) == pytest.approx(

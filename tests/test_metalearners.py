@@ -732,6 +732,18 @@ class TestLassoProx:
         if scale == 1e4:
             assert cv.chosen == (0.5, 0.1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_path_converges_at_another_backtrack(self, monkeypatch, seed):
+        # the trial after the full step is the first-zero step at any shrink
+        # factor; with the factor 1/BACKTRACK fixed at 2, BACKTRACK = 0.25
+        # tried half of it, and fits of this path got stuck or ran out
+        monkeypatch.setattr(metalearners, "BACKTRACK", 0.25)
+        Z, y = _t3_design(50, seed)
+        [fits] = fit_path(Z[None, None], y - 1, "lasso", DEFAULT_ALPHA_GRID)
+        for _, report in fits:
+            assert report.converged
+            assert report.grad_norm_at_exit <= metalearners.TOL
+
     def test_above_critical_threshold_weights_zero(self):
         rng = _rng(31)
         Z = rng.standard_normal((40, 5))

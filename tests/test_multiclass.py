@@ -516,7 +516,7 @@ def _scaled_toy():
 
 def _cv_predictions(data, model):
     """Labels as CV scores them: scaled design, shared weights, intercepts."""
-    design = build_design(data, model.table, model.scaling)
+    design = build_design(Dataset(model.scaling.apply(data.X), data.y), model.table)
     logits = _blocks(design) @ model.coef.weights
     logits[:, : model.coef.intercepts.size] -= model.coef.intercepts
     return model.class_ids[np.argmax(logits, axis=1)]
