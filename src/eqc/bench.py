@@ -9,18 +9,22 @@ Two protocols:
   repetition of an outer stratified K-fold cross-validation, with tuning
   and any feature selection done inside each training fold.
 
-Both yield (replication, outer fold, train, test) task sets, and one loop
-tunes, predicts and scores every classifier on each of them.
+Both yield (replication, outer fold, train, test) task sets, and one
+function tunes, predicts and scores every classifier on each of them.
 
 All randomness derives from the master seed by replication index, so a
-run is reproducible; replications run one after another, in order. Every
-fit runs the metalearners solvers at their module settings (TOL,
-MAX_ITER, ARMIJO, BACKTRACK); a run has no solver options of its own.
+run is reproducible. Task sets are drawn (and any Fisher selection made)
+in order in the calling process; their tasks may run in worker processes,
+but results are collected in task order, so rows and reports do not
+depend on how many workers ran them. Every fit runs the metalearners
+solvers at their module settings (TOL, MAX_ITER, ARMIJO, BACKTRACK); a
+run has no solver options of its own.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -221,6 +225,81 @@ def _write_csv(out_dir: str, name: str, header, records) -> str:
     return path
 
 
+def _run_task_set(config: ExperimentConfig, rep: int, fold: int | None,
+                  train: Dataset | None, test: Dataset | None):
+    """Tune, predict and score every classifier on one task set.
+
+    Returns the set's rows, its eqc-multiclass sensitivities and its
+    failure strings, each in classifier order; an EqcError fails only its
+    own task.
+    """
+    rows, sens_rows, failures = [], [], []
+    g = config.grid
+    where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
+    task = rep if fold is None else rep * config.outer_folds + fold
+    for name in config.classifiers:
+        if train is None:
+            failures.append(f"{where}{name}: training part misses a class")
+            continue
+        try:
+            learner, grid = classifier_grid(
+                name, g.theta_grid, g.alpha_grid, g.folds, g.stratified,
+                _seed_int(config.seed, task, CLASSIFIERS.index(name)),
+            )
+            model, _ = tune_and_train(train, grid, learner, config.scaling)
+            predict = (predict_multiclass if model.kind == "multiclass-ridge"
+                       else predict_binary)
+            pred = predict(test.X, model)
+            rows.append((config.label, name, rep, fold,
+                         misclassification_rate(pred, test.y)))
+            if name == "eqc-multiclass":
+                sens_rows.append(_sensitivities(pred, test.y, train.class_ids))
+        except EqcError as exc:
+            failures.append(f"{where}{name}: {exc}")
+    return rows, sens_rows, failures
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _task_set_results(config: ExperimentConfig):
+    """_run_task_set's result for every task set of _task_sets, in task order.
+
+    One worker per usable CPU, at most one per task set. With one worker,
+    or where fork is not available, every set runs in this process;
+    otherwise in forked worker processes, which reuse this process's
+    imports, with at most two sets per worker pending at a time. The task
+    sets themselves are drawn here either way. The pool is closed before
+    this generator finishes or raises.
+    """
+    import multiprocessing
+
+    n_sets = config.replications * (1 if config.scenario is not None else config.outer_folds)
+    workers = min(_usable_cpus(), n_sets)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for task_set in _task_sets(config):
+            yield _run_task_set(config, *task_set)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # np.unique imports numpy.ma on its first call (about 14 ms); imported
+    # here, the workers, forked afresh on every call, need not import it
+    import numpy.ma  # noqa: F401
+
+    pending = deque()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for task_set in _task_sets(config):
+            pending.append(pool.submit(_run_task_set, config, *task_set))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every task, write report CSVs, and return the summary.
 
@@ -228,31 +307,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     a run has classifier x replication x outer fold tasks (one fold per
     replication in scenario mode). Failed tasks are recorded and skipped;
     the run aborts if at least 20% of them fail.
+
+    Task sets run in forked worker processes, one per CPU that this
+    process may run on (its affinity), at most one per task set; results
+    are collected in task order, so rows, failures and every report file
+    are the same as from one process. A single usable CPU (for example
+    under `taskset -c 0`), or a platform without fork, runs every task set
+    in this process. No worker outlives the call.
     """
     rows, sens_rows, failures = [], [], []
-    g = config.grid
-    for rep, fold, train, test in _task_sets(config):
-        where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
-        task = rep if fold is None else rep * config.outer_folds + fold
-        for name in config.classifiers:
-            if train is None:
-                failures.append(f"{where}{name}: training part misses a class")
-                continue
-            try:
-                learner, grid = classifier_grid(
-                    name, g.theta_grid, g.alpha_grid, g.folds, g.stratified,
-                    _seed_int(config.seed, task, CLASSIFIERS.index(name)),
-                )
-                model, _ = tune_and_train(train, grid, learner, config.scaling)
-                predict = (predict_multiclass if model.kind == "multiclass-ridge"
-                           else predict_binary)
-                pred = predict(test.X, model)
-                rows.append((config.label, name, rep, fold,
-                             misclassification_rate(pred, test.y)))
-                if name == "eqc-multiclass":
-                    sens_rows.append(_sensitivities(pred, test.y, train.class_ids))
-            except EqcError as exc:
-                failures.append(f"{where}{name}: {exc}")
+    for set_rows, set_sens, set_failures in _task_set_results(config):
+        rows += set_rows
+        sens_rows += set_sens
+        failures += set_failures
 
     total_tasks = len(rows) + len(failures)
     if failures and len(failures) >= 0.2 * total_tasks:

@@ -226,17 +226,19 @@ def _softmax_newton(
     The B problems advance in lockstep, and each keeps its own iterate,
     gradient-norm stop, Newton direction, descent check, step and report.
     Each pass first retires, in one place, the problems whose gradient norm
-    is below TOL, those whose last line search accepted no step, and, once
-    MAX_ITER steps are taken, all the rest; a retired problem leaves the
-    active stack, and its report, made there once, is that of the point it
-    returns. Each step solves the Newton systems of the active problems in
-    one batched solve (_solve_each), falls back to the gradient wherever
-    that gives no finite descent direction (a singular system among them),
-    and backtracks to the Armijo condition, every problem from the full
-    step until it accepts one. Every operation acts on each problem alone,
-    so each problem's solution and report equal, bit for bit, those of its
-    solve on its own (B = 1). The stack holds B (n p + (m + p)^2) floats of
-    designs and Hessians: about 1 MB for 19 problems at n = 80, p = 50.
+    is below TOL, those whose last pass left the iterate bitwise unchanged
+    (no step accepted, or one below its rounding, which every later pass
+    would repeat), and, once MAX_ITER steps are taken, all the rest; a
+    retired problem leaves the active stack, and its report, made there
+    once, is that of the point it returns. Each step solves the Newton
+    systems of the active problems in one batched solve (_solve_each),
+    falls back to the gradient wherever that gives no finite descent
+    direction (a singular system among them), and backtracks to the Armijo
+    condition, every problem from the full step until it accepts one. Every
+    operation acts on each problem alone, so each problem's solution and
+    report equal, bit for bit, those of its solve on its own (B = 1). The
+    stack holds B (n p + (m + p)^2) floats of designs and Hessians: about
+    1 MB for 19 problems at n = 80, p = 50.
 
     Each Newton system is the Hessian with every diagonal entry H_ii raised
     by 1e-12 max(H_ii, 1), which keeps a system definite where equal
@@ -289,7 +291,7 @@ def _softmax_newton(
     out = X.copy()
     reports: list[SolverReport | None] = [None] * B
     live = np.arange(B)  # the stack position of each active problem
-    stuck = np.zeros(B, dtype=bool)  # whose last line search accepted no step
+    stuck = np.zeros(B, dtype=bool)  # whose last pass left X unchanged
 
     f, S, lse = _softmax_terms(Q, Y, lam, X)
     if l1:
@@ -338,9 +340,12 @@ def _softmax_newton(
             D_stop = np.where(ratios <= tau, -X, tau * D)
 
         # backtrack the positions todo whose step is not accepted yet; they
-        # all share the current step, and those left at the floor are stuck.
+        # all share the current step. A problem whose X the pass leaves
+        # bitwise unchanged (left at the floor, or accepted below X's
+        # rounding) is stuck.
         # While todo is the whole stack it is read, not gathered, and if all
         # of it accepts, the trial arrays are kept rather than scattered.
+        X_before = X.copy()
         step = 1.0
         todo = np.arange(live.size)
         while todo.size and step > 1e-14:
@@ -368,8 +373,7 @@ def _softmax_newton(
                 X[done], f[done], S[done], lse[done] = X_new[ok], f_new[ok], S_new[ok], lse_new[ok]
             todo = todo[~ok]
             step *= BACKTRACK
-        stuck = np.zeros(live.size, dtype=bool)
-        stuck[todo] = True
+        stuck = np.all(X == X_before, axis=1)
 
 
 def _min_norm_subgradient(G, X, m, t):

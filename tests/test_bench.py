@@ -354,6 +354,111 @@ class TestGoldenOutputs:
                 assert not (tmp_path / name).exists(), name
 
 
+def _run_on_cpus(monkeypatch, config, cpus):
+    """run_experiment with cpus usable CPUs; returns the report, or the
+    EqcError it raised, and the worker counts of the pools it started."""
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("eqc.bench._usable_cpus", lambda: cpus)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        try:
+            return run_experiment(config), pools
+        except EqcError as exc:
+            return exc, pools
+
+
+class TestWorkerPool:
+    """Task sets in two worker processes give what one process gives."""
+
+    def _same_on_one_and_two_cpus(self, monkeypatch, tmp_path, **fields):
+        results = {}
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            results[cpus] = _run_on_cpus(
+                monkeypatch, ExperimentConfig(out_dir=str(out), **fields), cpus)
+        (one, pools_one), (two, pools_two) = results[1], results[2]
+        assert pools_one == [] and pools_two == [2]
+        if isinstance(one, EqcError):
+            assert str(one) == str(two)
+            return one
+        assert one.rows == two.rows and one.failures == two.failures
+        assert one.summary == two.summary and one.sensitivities == two.sensitivities
+        for name in TestGoldenOutputs.OUTPUTS:
+            a, b = tmp_path / "cpus1" / name, tmp_path / "cpus2" / name
+            assert a.exists() == b.exists(), name
+            if a.exists():
+                assert a.read_bytes() == b.read_bytes(), name
+        return one
+
+    def test_t3_scenario_with_multiclass(self, monkeypatch, tmp_path):
+        report = self._same_on_one_and_two_cpus(
+            monkeypatch, tmp_path, classifiers=("qc", "eqc-ridge", "eqc-multiclass"),
+            replications=3, grid=_small_grid(), scenario=ScenarioSpec("t3", 40, 4, seed=0),
+            test_size=300, seed=21)
+        assert len(report.rows) == 9 and report.sensitivities
+
+    def test_dense_csv_outer_folds(self, monkeypatch, tmp_path):
+        path = TestDatasetMode()._dataset(tmp_path)
+        report = self._same_on_one_and_two_cpus(
+            monkeypatch, tmp_path, classifiers=("qc", "emc"), replications=2,
+            grid=_small_grid(), dataset_path=str(path), outer_folds=3, seed=22)
+        assert len(report.rows) == 2 * 3 * 2
+
+    def test_dtm_with_fisher_selection(self, monkeypatch, tmp_path):
+        rng = _rng(23)
+        y = np.repeat([1, 2], 30)
+        X = rng.poisson(0.3, size=(60, 25)).astype(float)
+        X[y == 2, :5] += rng.poisson(1.0, size=(30, 5))
+        matrix, labels = _write_triples(X, y, tmp_path / "in")
+        report = self._same_on_one_and_two_cpus(
+            monkeypatch, tmp_path, classifiers=("qc", "eqc-lasso"), replications=2,
+            grid=_small_grid(), dtm_path=str(matrix), labels_path=str(labels),
+            outer_folds=3, feature_selection="fisher", fisher_l=6, seed=24)
+        assert len(report.rows) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("outer_folds", [10, 4])
+    def test_one_sided_folds(self, monkeypatch, tmp_path, outer_folds):
+        config = TestDatasetMode()._one_sided_folds(tmp_path, monkeypatch, outer_folds)
+        fields = {f: getattr(config, f) for f in ("classifiers", "replications", "grid",
+                                                  "dataset_path", "outer_folds", "seed")}
+        result = self._same_on_one_and_two_cpus(monkeypatch, tmp_path, **fields)
+        if outer_folds == 4:
+            assert str(result).startswith("4 of 16 tasks failed (>= 20%)")
+        else:
+            assert len(result.failures) == 4
+
+    def test_no_worker_outlives_the_run(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        config = ExperimentConfig(
+            classifiers=("qc",), replications=3, grid=_small_grid(),
+            scenario=ScenarioSpec("t3", 30, 3, seed=0), test_size=100, seed=25, out_dir="")
+        report, pools = _run_on_cpus(monkeypatch, config, 2)
+        assert pools == [2] and len(report.rows) == 3
+        assert multiprocessing.active_children() == []
+
+        aborted = TestDatasetMode()._one_sided_folds(tmp_path, monkeypatch, 4)
+        error, pools = _run_on_cpus(monkeypatch, aborted, 2)
+        assert pools == [2] and "(>= 20%)" in str(error)
+        assert multiprocessing.active_children() == []
+
+        def broken(*args, **kwargs):
+            raise ValueError("not an EqcError")
+
+        monkeypatch.setattr("eqc.bench.tune_and_train", broken)
+        with pytest.raises(ValueError, match="not an EqcError"):
+            _run_on_cpus(monkeypatch, config, 2)
+        assert multiprocessing.active_children() == []
+
+
 class TestConfigFile:
     def test_parse_scenario_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -744,6 +744,29 @@ class TestLassoProx:
             assert report.converged
             assert report.grad_norm_at_exit <= metalearners.TOL
 
+    def test_fit_in_the_rounding_band_retires(self):
+        # EQC transforms in units of 1e3 (t3, n = 30, p = 50, half noise,
+        # seed 1, theta = 0.3): at the 8th alpha of the path the subgradient
+        # norm stays above TOL, and each step the line search accepts leaves
+        # the iterate bitwise unchanged. The fit retires as not converged
+        # instead of repeating that pass until MAX_ITER, at a point that a
+        # further solve does not move
+        data = generate(ScenarioSpec("t3", 30, 50, noise_fraction=0.5, seed=1), 2).train
+        data = Dataset(1e3 * data.X, data.y)
+        table = estimate_quantile_table(data, QuantileParams.common(0.3, 50))
+        Z = class_transforms(data.X, table)[0]
+        [fits] = fit_path(Z[None, None], data.y - 1, "lasso", DEFAULT_ALPHA_GRID)
+        assert [a for a, (_, report) in enumerate(fits) if not report.converged] == [7]
+        coef, report = fits[7]
+        assert report.iterations < metalearners.MAX_ITER
+        keep = ~degenerate_columns(Z)
+        x = np.concatenate((coef.intercepts, coef.weights[keep]))
+        again, [rerun] = _softmax_newton(Z[None, None][..., keep], data.y - 1, 0.0,
+                                         x[None], l1=DEFAULT_ALPHA_GRID[7])
+        assert np.array_equal(again[0], x)
+        assert rerun.iterations == 0 and not rerun.converged
+        assert rerun.final_loss == report.final_loss
+
     def test_above_critical_threshold_weights_zero(self):
         rng = _rng(31)
         Z = rng.standard_normal((40, 5))

@@ -53,17 +53,27 @@ class TestBaseVariables:
         got = _standardized_column("t3", 0, z)
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
-    def test_import_eqc_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def _loaded_by_import_eqc(*roots) -> str:
+        """The printed list of modules under roots that `import eqc` loads
+        in a fresh interpreter."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, eqc; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+             f"import sys, eqc; print([m for m in sys.modules if m.split('.')[0] in {roots}])"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
             check=True)
+        return out.stdout.strip()
+
+    def test_import_eqc_leaves_scipy_stats_unloaded(self):
         # scipy.special is imported where a t3 draw or a Fisher selection
         # first needs it; no scipy module is loaded by the import itself
-        assert out.stdout.strip() == "[]"
+        assert self._loaded_by_import_eqc("scipy") == "[]"
+
+    def test_import_eqc_leaves_process_pools_unloaded(self):
+        # bench.run_experiment imports them when it runs its task sets
+        assert self._loaded_by_import_eqc("multiprocessing", "concurrent") == "[]"
 
     def test_lognormal_moments(self):
         draws = sample_base_variable("lognormal", 0, 10**6, seed=2)
