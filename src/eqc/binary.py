@@ -202,8 +202,9 @@ def fit_binary_eqc(
         Q = np.empty((1, 0, train.p))  # QC's weights are fixed: only p is read
     else:
         Q = class_transforms(train.X, table)
-    [[(coef, report)]] = fit_path(Q[None], np.searchsorted(ids, train.y), learner, [alpha])
-    return FittedEqc(theta, table, coef, learner, scaler, report)
+    X, reports = fit_path(Q[None], np.searchsorted(ids, train.y), learner, [alpha])
+    return FittedEqc(theta, table, Coefficients(X[0, 0, :1], X[0, 0, 1:]), learner, scaler,
+                     None if reports is None else reports[0][0])
 
 
 def oracle_classifier(pop, rescaled: bool = False) -> FittedEqc:

@@ -78,15 +78,25 @@ class Coefficients:
     def scores(self, Q) -> np.ndarray:
         """Scores b_k + Q[k] . w of the K-1 transforms stacked on axis 0.
 
-        Q has shape (K-1, n, p) or (K-1, p); the scores have the classes on
-        the last axis, shape (n, K-1) or (K-1,). Each class is one product
-        of its own transform, so K = 2 gives exactly b + Z . w.
+        Q has shape (K-1, n, p) or (K-1, p), a point scored as a one-row
+        matrix; the scores have the classes on the last axis, shape (n, K-1)
+        or (K-1,). They are linear_scores, the product that CV scores with.
         """
         Q = np.asarray(Q, dtype=float)
         if Q.shape[0] != self.intercepts.size:
             raise DomainError("transform count does not match the intercepts")
-        return np.stack([b + Qk @ self.weights for b, Qk in zip(self.intercepts, Q)],
-                        axis=-1)
+        x = np.concatenate((self.intercepts, self.weights))
+        return linear_scores(Q, x) if Q.ndim == 3 else linear_scores(Q[:, None], x)[0]
+
+
+def linear_scores(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Scores b_k + Q[k] . w (..., n, m) of the models X (..., m + p), each
+    m intercepts b then weights w as fit_path returns them, on the m class
+    transforms Q (m, n, p): the one product of CV and predict. It gives each
+    model the bits of Q[k] @ w alone, whether Q is in C or Fortran order."""
+    m = Q.shape[0]
+    S = np.matmul(Q[(slice(None),) + (None,) * (X.ndim - 1)], X[..., m:, None])
+    return np.moveaxis(S[..., 0], 0, -1) + X[..., None, :m]
 
 
 @dataclass(frozen=True)
@@ -421,14 +431,6 @@ def _fit_lasso_prox(
     return X[0], report
 
 
-def _zero_filled(x: np.ndarray, keep: np.ndarray, m: int = 1) -> Coefficients:
-    """The coefficients of solver vector x (m intercepts, then the weights
-    of the columns in keep), with weight 0 on the other columns."""
-    weights = np.zeros(keep.size)
-    weights[keep] = x[m:]
-    return Coefficients(x[:m].copy(), weights)
-
-
 def hinge_loss(coef: Coefficients, cost: float, Z, y) -> float:
     """Regularized hinge loss (1/n) sum [1 - m_i]_+ + ||beta||^2 / (2 n c).
 
@@ -678,7 +680,7 @@ def _hinge_run(Z: np.ndarray, gram: np.ndarray | None, positions: np.ndarray,
 
 
 def fit_path(Q, positions, learner: str,
-             alphas) -> list[list[tuple[Coefficients, SolverReport | None]]]:
+             alphas) -> tuple[np.ndarray, list[list[SolverReport]] | None]:
     """Fit one learner at every alpha of a grid on each design of a stack;
     the one fit for CV and refit, at every class count K.
 
@@ -701,17 +703,16 @@ def fit_path(Q, positions, learner: str,
     solves at each alpha (ridge, lasso, logistic) are one stacked solve of
     _softmax_newton, the lasso's alpha as its l1 (its orthant-wise steps
     keep the same lockstep), and its hinge solves at every cost are one
-    stacked solve of _hinge_ipm; every problem of a stack equals its solve
-    on its own bit for bit. At K = 2 a group of one
-    goes through the one-problem entries instead (the benchmark traces
-    them): _fit_logistic_newton and _fit_lasso_prox at each alpha, which
-    return _softmax_newton's solver vector and report, and fit_linear_svm
-    when the grid holds one cost. Every Newton
-    solution is zero-filled to the full width in one place. So the result
-    is the same whatever the stack, and a stack of
-    B designs holds B (m n p + (m + p)^2) floats while it solves (hinge: at
-    most HINGE_STACK_FLOATS, or one problem's). Returns, per design, one
-    (Coefficients, SolverReport) per alpha, in grid order.
+    stacked solve of _hinge_ipm; at K = 2 a group of one goes through the
+    one-problem entries that the benchmark traces: _fit_logistic_newton and
+    _fit_lasso_prox at each alpha, and fit_linear_svm at one cost. Every
+    problem's result equals its solve on its own bit for bit, whatever the
+    stack. A stack of B designs holds B (m n p + (m + p)^2) floats while it
+    solves (hinge: at most HINGE_STACK_FLOATS).
+
+    Returns (X, reports): X (B, A, m + p) holds each design's intercepts and
+    then weights at each of the A alphas, in grid order; reports is the
+    B x A grid of their SolverReports, None for unit-weights.
     """
     if learner not in VALID_PENALTIES + ("logistic", "unit-weights"):
         raise DomainError(f"unknown learner {learner!r}")
@@ -721,8 +722,11 @@ def fit_path(Q, positions, learner: str,
     if m > 1 and learner != "ridge":
         raise DomainError(f"{learner} fits two classes only")
     alphas = np.asarray(alphas, dtype=float)
+    A = alphas.size
+    X = np.zeros((B, A, m + p))
     if learner == "unit-weights":
-        return [[(Coefficients(0.0, np.ones(p)), None)] * alphas.size for _ in range(B)]
+        X[..., m:] = 1.0
+        return X, None
     if learner != "logistic" and not np.all(np.isfinite(alphas) & (alphas > 0)):
         raise DomainError("every alpha must be positive and finite")
     positions = np.asarray(positions)
@@ -736,30 +740,30 @@ def fit_path(Q, positions, learner: str,
     groups: dict[bytes, list[int]] = {}
     for i, keep in enumerate(keeps):
         groups.setdefault(keep.tobytes(), []).append(i)
-    fits = [[None] * alphas.size for _ in range(B)]
+    reports = np.empty((B, A), dtype=object)
     for members in groups.values():
         keep = keeps[members[0]]
         Qg = np.compress(keep, Q[members], axis=3)
         if learner == "hinge":
-            if len(members) == 1 and alphas.size == 1:
+            if len(members) == 1 and A == 1:
                 coef, report = fit_linear_svm(Qg[0, 0], positions + 1, alphas[0])
-                X, reports = np.append(coef.intercepts, coef.weights)[None], [report]
+                Xg, fits = np.append(coef.intercepts, coef.weights), [report]
             else:  # every member at every cost, member-major
-                X, reports = _hinge_ipm(Qg[:, 0], positions, alphas)
-            for k, (x, report) in enumerate(zip(X, reports)):
-                fits[members[k // alphas.size]][k % alphas.size] = (_zero_filled(x, keep), report)
-            continue
-        X = None  # the group's solutions at the last alpha, the warm start
-        for a in np.argsort(alphas)[::-1]:
-            warm = X if learner in ("ridge", "lasso") else None
-            lam = 0.0 if learner == "logistic" else alphas[a]
-            if len(members) == 1 and m == 1:
-                entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton
-                x, report = entry(Qg[0, 0], positions, lam, None if warm is None else warm[0])
-                X, reports = x[None], [report]
-            else:
-                ridge, l1 = (0.0, lam) if learner == "lasso" else (lam, 0.0)
-                X, reports = _softmax_newton(Qg, positions, ridge, warm, l1)
-            for i, x, report in zip(members, X, reports):
-                fits[i][a] = (_zero_filled(x, keep, m), report)
-    return fits
+                Xg, fits = _hinge_ipm(Qg[:, 0], positions, alphas)
+            Xg, reports[members] = Xg.reshape(len(members), A, -1), np.reshape(fits, (-1, A))
+        else:
+            Xg = np.empty((len(members), A, m + Qg.shape[3]))
+            x = None  # the group's solutions at the last alpha, the warm start
+            for a in np.argsort(alphas)[::-1]:
+                warm = x if learner in ("ridge", "lasso") else None
+                lam = 0.0 if learner == "logistic" else alphas[a]
+                if len(members) == 1 and m == 1:
+                    entry = _fit_lasso_prox if learner == "lasso" else _fit_logistic_newton
+                    x, report = entry(Qg[0, 0], positions, lam, None if warm is None else warm[0])
+                    x, fits = x[None], [report]
+                else:
+                    ridge, l1 = (0.0, lam) if learner == "lasso" else (lam, 0.0)
+                    x, fits = _softmax_newton(Qg, positions, ridge, warm, l1)
+                Xg[:, a], reports[members, a] = x, fits
+        X[np.ix_(members, range(A), np.r_[:m, m + np.flatnonzero(keep)])] = Xg
+    return X, reports.tolist()

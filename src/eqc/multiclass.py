@@ -52,15 +52,15 @@ def fit_on_design(Q: np.ndarray, positions: np.ndarray,
     """Fit the softmax to the design (Q, positions): metalearners.fit_path's
     ridge fit at lam (positive and finite) on this one design.
 
-    Returns the coefficients and the report of that point, whose
-    final_loss is the penalized mean negative log-likelihood; columns
-    constant within every class transform get weight exactly 0; at K = 2
-    this is the binary ridge fit, which fit_path solves through
-    metalearners._fit_logistic_newton. A function of its own only because
-    the benchmark traces it as a layer apart from that entry.
+    Returns the coefficients of fit_path's one solution row and the report
+    of that point, whose final_loss is the penalized mean negative
+    log-likelihood; columns constant within every class transform get
+    weight exactly 0; at K = 2 this is the binary ridge fit, which fit_path
+    solves through metalearners._fit_logistic_newton. A function of its own
+    only because the benchmark traces it as a layer apart from that entry.
     """
-    [[fit]] = fit_path(Q[None], positions, "ridge", [lam])
-    return fit
+    (x,), [[report]] = fit_path(Q[None], positions, "ridge", [lam])
+    return Coefficients(x[0, :len(Q)], x[0, len(Q):]), report
 
 
 def fit_multiclass_eqc(

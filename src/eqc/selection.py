@@ -1,14 +1,14 @@
 """Stratified T-fold cross-validation over a (theta, alpha) grid.
 
 For every fold and every theta, class quantiles are estimated on the
-training part only (no leakage), the held-out part is transformed with
-that table, and the metalearner is fitted and scored at every alpha:
-every learner, multiclass-ridge too, at every (theta, alpha) of the fold
-by one fit_path call on the stack of the fold's training designs. The
-(theta, alpha) cell with the lowest mean misclassification wins and the
-model is refit on the full data. Cells whose fold-mean errors are equal
-up to floating-point rounding are tied; ties prefer stronger
-regularization, then theta nearest 0.5.
+training part only (no leakage). Every learner, multiclass-ridge too, is
+fitted at every (theta, alpha) of the fold by one fit_path call on the
+stack of the fold's training designs; per theta, the held-out transforms
+score every alpha in one linear_scores product, the one a fitted model
+predicts with. The (theta, alpha) cell with the lowest mean
+misclassification wins and the model is refit on the full data. Cells
+whose fold-mean errors are equal up to floating-point rounding are tied;
+ties prefer stronger regularization, then theta nearest 0.5.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .binary import class_transforms, compute_scaling, fit_binary_eqc, labels_from_scores
 from .data import Dataset
 from .errors import DomainError, TuningError
-from .metalearners import fit_path
+from .metalearners import fit_path, linear_scores
 from .multiclass import fit_multiclass_eqc
 from .quantiles import QuantileParams, estimate_quantile_table
 
@@ -141,9 +141,8 @@ def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> 
     Both parts are scaled once, then per theta made features once (the
     training part not for unit-weights, whose weights are fixed). The
     learner is fitted at every (theta, alpha) by one fit_path call on the
-    stack of the fold's training designs, multiclass-ridge as ridge.
-    Each fit is scored by the scores and the label rule its refit model
-    predicts with.
+    stack, multiclass-ridge as ridge. Per theta, one linear_scores product
+    scores every alpha, with the product and label rule of predict.
     """
     errs = np.full((len(thetas), len(alphas)), np.nan)
     if scaling is not None:
@@ -155,12 +154,11 @@ def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> 
     else:
         Q = np.stack([class_transforms(tr.X, table) for table in tables])
     positions = np.searchsorted(tr.class_ids, tr.y)
-    fits = fit_path(Q, positions, "ridge" if learner == "multiclass-ridge" else learner, alphas)
+    X, _ = fit_path(Q, positions, "ridge" if learner == "multiclass-ridge" else learner, alphas)
     for h, table in enumerate(tables):
-        Q_te = class_transforms(te.X, table)
-        for a, (coef, _) in enumerate(fits[h]):
-            pred = labels_from_scores(coef.scores(Q_te), table.class_ids)
-            errs[h, a] = misclassification_rate(pred, te.y)
+        pred = labels_from_scores(linear_scores(class_transforms(te.X, table), X[h]),
+                                  table.class_ids)
+        errs[h] = (pred != te.y).mean(axis=1)
     return errs
 
 

@@ -83,16 +83,15 @@ def run_selftest() -> bool:
     yb = np.where(rng.random(40) < 0.5, 1, 2)
     if np.unique(yb).size < 2:
         yb[0], yb[1] = 1, 2
-    [[(_, rep)]] = fit_path(Z[None, None], yb - 1, "ridge", [0.1])
+    _, [[rep]] = fit_path(Z[None, None], yb - 1, "ridge", [0.1])
     check("ridge solver converged", rep.converged)
     check("ridge solution beats zero model", rep.final_loss <= math.log(2.0) + 1e-12)
 
     # lasso: all-zero weights from the threshold 2 max_j |Z_j'(y - ybar)| / n up
     lam0 = 2.0 * np.abs(Z.T @ (yb - yb.mean())).max() / yb.size
-    [[(above, rep_a), (below, rep_b)]] = fit_path(Z[None, None], yb - 1, "lasso",
-                                                  [1.0001 * lam0, 0.5 * lam0])
+    X, [[rep_a, rep_b]] = fit_path(Z[None, None], yb - 1, "lasso", [1.0001 * lam0, 0.5 * lam0])
     check("lasso: weights exactly 0 just above its threshold, KKT norm <= tol below",
-          rep_a.converged and np.all(above.weights == 0.0)
+          rep_a.converged and np.all(X[0, 0, 1:] == 0.0)
           and rep_b.converged and rep_b.grad_norm_at_exit <= TOL)
 
     # multiclass probabilities sum to one; K=2 matches the binary rule
@@ -111,11 +110,9 @@ def run_selftest() -> bool:
     check("2-class multiclass labels == binary rule (s <= 0 -> first class)",
           np.array_equal(predict_multiclass(X3, m2),
                          np.where(eqc_discriminant(X3, m2) <= 0, 1, 2)))
-    [[(ridge, _)]] = fit_path(class_transforms(X3[two], m2.table)[None], y3[two] - 1,
-                              "ridge", [0.1])
+    X, _ = fit_path(class_transforms(X3[two], m2.table)[None], y3[two] - 1, "ridge", [0.1])
     check("2-class multiclass fit == binary ridge fit (bit-exact)",
-          np.array_equal(m2.coef.intercepts, ridge.intercepts)
-          and np.array_equal(m2.coef.weights, ridge.weights))
+          np.array_equal(np.append(m2.coef.intercepts, m2.coef.weights), X[0, 0]))
 
     # folds partition and stratify
     fold = make_folds(np.repeat([1, 2], 20), 5, True, 3)

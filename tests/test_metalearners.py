@@ -20,13 +20,19 @@ from eqc import (
 )
 from eqc import metalearners
 from eqc.binary import class_transforms
-from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path
+from eqc.metalearners import _fit_logistic_newton, _softmax_newton, fit_path, linear_scores
 from eqc.quantiles import degenerate_columns
 from eqc.selection import DEFAULT_ALPHA_GRID, make_folds
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _coef(x, m=1):
+    """The Coefficients of one fit_path solution row x: m intercepts, then
+    the weights."""
+    return Coefficients(x[:m], x[m:])
 
 
 def binomial_loss(coef, penalty, Z, y):
@@ -233,7 +239,8 @@ class TestRidgeNewton:
     def test_all_zero_design_balanced(self):
         Z = np.zeros((10, 2))
         y = np.array([1, 2] * 5)
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "ridge", [0.5])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "ridge", [0.5])
+        coef = _coef(X[0, 0])
         assert report.converged
         assert coef.intercepts[0] == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(coef.weights, 0.0, atol=1e-9)
@@ -245,7 +252,8 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         lam = 0.1
         pen = ("ridge", lam)
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "ridge", [lam])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "ridge", [lam])
+        coef = _coef(X[0, 0])
         assert report.converged
         ours = binomial_loss(coef, pen, Z, y)
         # every point of the 41^3 grid at once; the best is re-scored below
@@ -297,8 +305,8 @@ class TestRidgeNewton:
         y[:2] = [1, 2]
         norms = []
         for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
-            [[(coef, _)]] = fit_path(Z[None, None], y - 1, "ridge", [lam])
-            norms.append(np.linalg.norm(coef.weights))
+            X, _ = fit_path(Z[None, None], y - 1, "ridge", [lam])
+            norms.append(np.linalg.norm(_coef(X[0, 0]).weights))
         # heavier penalty never grows the optimum's weight norm
         assert np.all(np.diff(norms) <= 1e-8)
 
@@ -310,7 +318,8 @@ class TestRidgeNewton:
         # a one-step budget cannot reach the 1e-8 (sub)gradient tolerance
         monkeypatch.setattr(metalearners, "MAX_ITER", 1)
         for kind in ("ridge", "lasso"):
-            [[(coef, report)]] = fit_path(Z[None, None], y - 1, kind, [0.01])
+            X, [[report]] = fit_path(Z[None, None], y - 1, kind, [0.01])
+            coef = _coef(X[0, 0])
             assert not report.converged
             assert np.isfinite(coef.weights).all()
             assert report.iterations == 1
@@ -324,12 +333,12 @@ class TestRidgeNewton:
         y = np.where(Z[:, 0] > 0, 2, 1)
         y[:2] = [1, 2]
         Q, Y, lam = Z[None, None], (y == 1)[None].astype(float), 0.01
-        [[(_, full)]] = fit_path(Q, y - 1, "ridge", [lam])
+        _, [[full]] = fit_path(Q, y - 1, "ridge", [lam])
         assert full.converged and full.iterations == 5
         for budget in range(1, full.iterations + 1):
             monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-            [[(coef, report)]] = fit_path(Q, y - 1, "ridge", [lam])
-            x = np.concatenate((coef.intercepts, coef.weights))[None]
+            X, [[report]] = fit_path(Q, y - 1, "ridge", [lam])
+            x = X[0]  # the one solution row, as the one problem of a stack
             _, S, lse = metalearners._softmax_terms(Q, Y, lam, x)
             G, _ = metalearners._softmax_gradient(Q, Y, lam, x, S, lse)
             assert report.grad_norm_at_exit == np.sqrt(metalearners._rowdot(G, G))[0]
@@ -358,16 +367,16 @@ def _fold_stack(family="t3", n=60, p=8, seed=0, thetas=None, counts=False, K=2):
 
 
 def _stack_equals_one_at_a_time(Z, positions, learner, alphas):
-    """fit_path on the stack Z, after checking that every design's fits,
-    coefficients and reports equal bit for bit those of its own call."""
-    stacked = fit_path(Z, positions, learner, alphas)
-    for Zi, fits in zip(Z, stacked):
-        [alone] = fit_path(Zi[None], positions, learner, alphas)
-        for (c, r), (c1, r1) in zip(fits, alone):
-            assert np.array_equal(c.intercepts, c1.intercepts)
-            assert np.array_equal(c.weights, c1.weights)
+    """fit_path on the stack Z, after checking that every design's
+    solutions (intercepts and weights) and reports equal bit for bit those
+    of its own call."""
+    X, reports = fit_path(Z, positions, learner, alphas)
+    for Zi, Xi, fits in zip(Z, X, reports):
+        X1, [alone] = fit_path(Zi[None], positions, learner, alphas)
+        assert np.array_equal(Xi, X1[0])
+        for r, r1 in zip(fits, alone, strict=True):
             assert r == r1
-    return stacked
+    return X, reports
 
 
 def _mask(Zi):
@@ -392,8 +401,8 @@ class TestStackedNewton:
         assert Z.shape[1] == K - 1
         assert len({_mask(Zi) for Zi in Z}) < len(Z)  # some designs do share a stack
         learner = "ridge" if K == 3 else learner
-        stacked = _stack_equals_one_at_a_time(Z, pos, learner, alphas)
-        iterations = {r.iterations for fits in stacked for _, r in fits}
+        _, reports = _stack_equals_one_at_a_time(Z, pos, learner, alphas)
+        iterations = {r.iterations for fits in reports for r in fits}
         assert len(iterations) > 1  # the designs stop at different steps
 
     def test_separated_design_beside_overlapping_ones(self):
@@ -403,18 +412,18 @@ class TestStackedNewton:
         Z = noise.copy()
         Z[0, :, 0] = (2.0 * y - 3.0) + 0.1 * noise[0, :, 0]  # separates the classes
         assert _strictly_separable(Z[0], y) and not _strictly_separable(Z[1], y)
-        stacked = _stack_equals_one_at_a_time(Z[:, None], y - 1, "logistic", [np.nan])
-        converged = [fits[0][1].converged for fits in stacked]
+        _, reports = _stack_equals_one_at_a_time(Z[:, None], y - 1, "logistic", [np.nan])
+        converged = [fits[0].converged for fits in reports]
         assert converged == [False, True, True]  # the certificate is per design
 
     def test_budget_ends_some_designs(self, monkeypatch):
         Z, pos = _fold_stack(seed=3)
-        full = [fits[0][1].iterations for fits in fit_path(Z, pos, "logistic", [np.nan])]
+        full = [fits[0].iterations for fits in fit_path(Z, pos, "logistic", [np.nan])[1]]
         budget = (min(full) + max(full)) // 2
         assert min(full) < budget < max(full)
         monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-        stacked = _stack_equals_one_at_a_time(Z, pos, "logistic", [np.nan])
-        ended = [fits[0][1] for fits in stacked]
+        _, reports = _stack_equals_one_at_a_time(Z, pos, "logistic", [np.nan])
+        ended = [fits[0] for fits in reports]
         assert any(r.converged for r in ended)
         assert any(not r.converged and r.iterations == budget for r in ended)
 
@@ -465,14 +474,66 @@ class TestStackedNewton:
         Q = rng.standard_normal((2, 60, 4)) + 0.7 * (pos == np.arange(2)[:, None])[:, :, None]
         Q[0, :, 1] = 0.25
         Q[:, :, 2] = [[-0.5], [1.5]]
-        [[(coef, report)]] = fit_path(Q[None], pos, "ridge", [0.1])
+        X, [[report]] = fit_path(Q[None], pos, "ridge", [0.1])
+        coef = _coef(X[0, 0], 2)
         assert report.converged
         assert coef.weights[1] != 0.0 and coef.weights[2] == 0.0
-        [[(without, without_report)]] = fit_path(Q[None][..., [0, 1, 3]], pos, "ridge", [0.1])
+        X, [[without_report]] = fit_path(Q[None][..., [0, 1, 3]], pos, "ridge", [0.1])
+        without = _coef(X[0, 0], 2)
         assert np.array_equal(coef.intercepts, without.intercepts)
         assert np.array_equal(coef.weights[[0, 1, 3]], without.weights)
         assert report == without_report
 
+
+class TestLinearScores:
+    # CV scores a theta's solutions at every alpha with one linear_scores
+    # product over the (A, m + p) rows fit_path returns; each row must get
+    # the bits of its model's Coefficients.scores, which predict uses, and
+    # of the per-class product b_k + Q[k] @ w that the v1 model files were
+    # written with, whatever the layout of the held-out part
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_stack_equals_each_model(self, K, layout):
+        rng = _rng(60 + K)
+        m, y = K - 1, np.repeat(np.arange(1, K + 1), 30)
+        data = Dataset(rng.standard_t(3, (y.size, 6)) + 0.5 * (y[:, None] - 1), y)
+        table = estimate_quantile_table(data, QuantileParams.common(0.3, 6))
+        alphas = [3.0, 0.1, 0.003, 1e-4]
+        X, _ = fit_path(class_transforms(data.X, table)[None], y - 1, "ridge", alphas)
+        held_out = rng.standard_t(3, (40, 6)) + 0.5
+        Q = class_transforms(held_out if layout == "C" else np.asfortranarray(held_out), table)
+        assert Q[0].flags.c_contiguous == (layout == "C")
+        S = linear_scores(Q, X[0])
+        assert S.shape == (len(alphas), 40, m)
+        for x, s in zip(X[0], S):
+            coef = _coef(x, m)
+            assert np.array_equal(s, coef.scores(Q))
+            per_class = np.stack([b + Qk @ coef.weights for b, Qk in zip(coef.intercepts, Q)],
+                                 axis=-1)
+            assert np.array_equal(s, per_class)
+            for i in range(Q.shape[1]):  # each held-out row as a point (m, p),
+                point = coef.scores(Q[:, i])  # scored as a one-row matrix
+                assert point.shape == (m,)
+                assert np.array_equal(point, linear_scores(Q[:, i:i + 1], x)[0])
+                assert np.array_equal(point, [b + Qk @ coef.weights
+                                              for b, Qk in zip(coef.intercepts, Q[:, i])])
+            # an empty held-out part scores to nothing
+            assert coef.scores(Q[:, :0]).shape == (0, m)
+        assert linear_scores(Q[:, :0], X[0]).shape == (len(alphas), 0, m)
+
+    def test_fortran_ordered_stack(self):
+        # a (m, n, p) transform stacked in Fortran order, whose class slices
+        # are not contiguous, still gets each model's per-class product bits
+        rng = _rng(64)
+        Q = rng.standard_normal((2, 25, 5))
+        X = rng.standard_normal((3, 7))
+        F = np.asfortranarray(Q)
+        assert not F[0].flags.c_contiguous and not F[0].flags.f_contiguous
+        for x, s in zip(X, linear_scores(F, X)):
+            assert np.array_equal(s, _coef(x, 2).scores(F))
+            assert np.array_equal(s, np.stack([b + Qk @ x[2:] for b, Qk in zip(x[:2], F)],
+                                              axis=-1))
 
 
 class TestStackedHinge:
@@ -486,10 +547,12 @@ class TestStackedHinge:
         # every (theta, cost) of the fold's stack equals fit_linear_svm on
         # its design alone, as the refit at that cell solves it
         Z, pos = _fold_stack(n=n, p=p)
-        for Zi, fits in zip(Z, fit_path(Z, pos, "hinge", self.COSTS)):
+        X, reports = fit_path(Z, pos, "hinge", self.COSTS)
+        for Zi, Xi, fits in zip(Z, X, reports):
             keep = ~degenerate_columns(Zi).all(axis=0)
             assert (np.count_nonzero(keep) >= n) == (p >= n)
-            for (coef, report), cost in zip(fits, self.COSTS):
+            for x, report, cost in zip(Xi, fits, self.COSTS):
+                coef = _coef(x)
                 assert report.converged
                 alone, alone_report = fit_linear_svm(Zi[0][:, keep], pos + 1, cost)
                 assert np.array_equal(coef.intercepts, alone.intercepts)
@@ -498,17 +561,18 @@ class TestStackedHinge:
 
     def test_budget_ends_some_problems(self, monkeypatch):
         Z, pos = _fold_stack(seed=3)
-        full = [r.iterations for fits in fit_path(Z, pos, "hinge", self.COSTS) for _, r in fits]
+        full = [r.iterations for fits in fit_path(Z, pos, "hinge", self.COSTS)[1] for r in fits]
         budget = (min(full) + max(full)) // 2
         assert min(full) < budget < max(full)
         monkeypatch.setattr(metalearners, "MAX_ITER", budget)
-        stacked = _stack_equals_one_at_a_time(Z, pos, "hinge", self.COSTS)
+        X, reports = _stack_equals_one_at_a_time(Z, pos, "hinge", self.COSTS)
         ended = 0
-        for Zi, fits in zip(Z, stacked):
+        for Zi, Xi, fits in zip(Z, X, reports):
             keep = ~degenerate_columns(Zi).all(axis=0)
-            for (coef, report), cost in zip(fits, self.COSTS):
+            for x, report, cost in zip(Xi, fits, self.COSTS):
                 if report.converged:
                     continue
+                coef = _coef(x)
                 ended += 1
                 # the best-certified iterate, reported as fit_linear_svm does
                 assert report.iterations == budget
@@ -523,12 +587,12 @@ class TestStackedHinge:
         # a stack larger than HINGE_STACK_FLOATS is solved in runs; here
         # one problem a run, with the fits of the whole stack
         Z, pos = _fold_stack(n=n, p=p, thetas=[0.2, 0.5, 0.8])
-        whole = fit_path(Z, pos, "hinge", self.COSTS)
+        X, reports = fit_path(Z, pos, "hinge", self.COSTS)
         monkeypatch.setattr(metalearners, "HINGE_STACK_FLOATS", 1)
-        for fits, ones in zip(whole, fit_path(Z, pos, "hinge", self.COSTS)):
-            for (c, r), (c1, r1) in zip(fits, ones):
-                assert np.array_equal(c.intercepts, c1.intercepts)
-                assert np.array_equal(c.weights, c1.weights)
+        X1, reports1 = fit_path(Z, pos, "hinge", self.COSTS)
+        assert np.array_equal(X, X1)
+        for fits, ones in zip(reports, reports1, strict=True):
+            for r, r1 in zip(fits, ones, strict=True):
                 assert r == r1
 
     def test_refit_alone_goes_through_fit_linear_svm(self, monkeypatch):
@@ -564,8 +628,8 @@ class TestRoundingLevelArmijo:
         Z = class_transforms(tr.X, table)
         lam = DEFAULT_ALPHA_GRID[11]
         assert lam == pytest.approx(5.18, abs=0.01)
-        [fits] = fit_path(Z[None], tr.y - 1, "ridge", DEFAULT_ALPHA_GRID[11:])
-        coef, report = fits[0]
+        X, [fits] = fit_path(Z[None], tr.y - 1, "ridge", DEFAULT_ALPHA_GRID[11:])
+        coef, report = _coef(X[0, 0]), fits[0]
         assert report.converged and report.iterations <= 10
         # both objectives are the optimum up to the rounding of f
         assert report.final_loss <= stalled_loss + 4 * np.spacing(stalled_loss)
@@ -592,7 +656,8 @@ class TestSigmoidOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             plain, report = _fit_logistic_newton(Z, (y - 1).astype(float), 0.0)
-            [[(ridge, _)]] = fit_path(Z[None, None], y - 1, "ridge", [1e-12])
+            X, _ = fit_path(Z[None, None], y - 1, "ridge", [1e-12])
+            ridge = _coef(X[0, 0])
             g = binomial_gradient(
                 Coefficients(0.0, np.array([1000.0])), ("ridge", 1.0), Z, y
             )
@@ -634,7 +699,8 @@ class TestLogisticSeparation:
     ])
     def test_separable_reports_not_converged(self, Z, y):
         assert _strictly_separable(Z, y)
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
+        coef = _coef(X[0, 0])
         assert not report.converged
         s = 2.0 * (y - 1.0) - 1.0
         assert np.all(s * coef.scores(Z[None])[:, 0] > 0)
@@ -647,7 +713,8 @@ class TestLogisticSeparation:
     def test_overlapping_t3_unchanged(self, seed):
         Z, y = _t3_design(5, seed)
         assert not _strictly_separable(Z, y)
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "logistic", [np.nan])
+        coef = _coef(X[0, 0])
         # the solve fit_path makes, on the same copy of the columns
         keep = ~degenerate_columns(Z)
         plain, plain_report = _fit_logistic_newton(Z[:, keep], (y - 1).astype(float), 0.0)
@@ -693,7 +760,8 @@ class TestLassoProx:
         y = np.where(Z[:, 0] - 0.5 * Z[:, 1] + rng.standard_normal(n) > 0, 2, 1)
         y[:2] = [1, 2]
         pen = ("lasso", lam)
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        coef = _coef(X[0, 0])
         referee = binomial_loss(_lasso_referee(Z, y, lam), pen, Z, y)
         assert binomial_loss(coef, pen, Z, y) <= referee + 1e-9
         assert report.converged
@@ -708,14 +776,14 @@ class TestLassoProx:
         data = generate(spec, 2).train
         table = estimate_quantile_table(data, QuantileParams.common(0.05, 50))
         Z = class_transforms(data.X, table)[0]
-        [fits] = fit_path(Z[None, None], data.y - 1, "lasso", [3.0, 0.1, 0.003])
-        for _, report in fits:
+        _, [fits] = fit_path(Z[None, None], data.y - 1, "lasso", [3.0, 0.1, 0.003])
+        for report in fits:
             assert report.converged
             assert report.grad_norm_at_exit <= 1e-8
             assert report.iterations < 50
         referee = binomial_loss(_lasso_referee(Z, data.y, 0.003), ("lasso", 0.003),
                                 Z, data.y)
-        assert fits[2][1].final_loss <= referee + 1e-9
+        assert fits[2].final_loss <= referee + 1e-9
 
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_duplicated_column_at_a_large_scale(self, scale):
@@ -739,8 +807,8 @@ class TestLassoProx:
         # tried half of it, and fits of this path got stuck or ran out
         monkeypatch.setattr(metalearners, "BACKTRACK", 0.25)
         Z, y = _t3_design(50, seed)
-        [fits] = fit_path(Z[None, None], y - 1, "lasso", DEFAULT_ALPHA_GRID)
-        for _, report in fits:
+        _, [fits] = fit_path(Z[None, None], y - 1, "lasso", DEFAULT_ALPHA_GRID)
+        for report in fits:
             assert report.converged
             assert report.grad_norm_at_exit <= metalearners.TOL
 
@@ -755,9 +823,9 @@ class TestLassoProx:
         data = Dataset(1e3 * data.X, data.y)
         table = estimate_quantile_table(data, QuantileParams.common(0.3, 50))
         Z = class_transforms(data.X, table)[0]
-        [fits] = fit_path(Z[None, None], data.y - 1, "lasso", DEFAULT_ALPHA_GRID)
-        assert [a for a, (_, report) in enumerate(fits) if not report.converged] == [7]
-        coef, report = fits[7]
+        X, [fits] = fit_path(Z[None, None], data.y - 1, "lasso", DEFAULT_ALPHA_GRID)
+        assert [a for a, report in enumerate(fits) if not report.converged] == [7]
+        coef, report = _coef(X[0, 7]), fits[7]
         assert report.iterations < metalearners.MAX_ITER
         keep = ~degenerate_columns(Z)
         x = np.concatenate((coef.intercepts, coef.weights[keep]))
@@ -777,7 +845,8 @@ class TestLassoProx:
         # max_j |(1/n) sum z_ij (y01_i - ybar)| <= lambda/2
         corr = np.abs(Z.T @ (y01 - y01.mean())) / len(y)
         lam = 2.0 * corr.max() * 1.0001
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        coef = _coef(X[0, 0])
         assert report.converged
         assert np.all(coef.weights == 0.0)
 
@@ -788,7 +857,8 @@ class TestLassoProx:
         y = np.where(Z @ beta_true + 0.3 * rng.standard_normal(60) > 0, 2, 1)
         y[:2] = [1, 2]
         lam = 0.05
-        [[(coef, report)]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        X, [[report]] = fit_path(Z[None, None], y - 1, "lasso", [lam])
+        coef = _coef(X[0, 0])
         y01 = (y - 1).astype(float)
         c = coef.intercepts[0] + Z @ coef.weights
         r = 1.0 / (1.0 + np.exp(-c)) - y01
@@ -806,7 +876,8 @@ class TestLassoProx:
         beta_true = np.zeros(8)
         beta_true[:2] = [3.0, -3.0]
         y = np.where(Z @ beta_true > 0, 2, 1)
-        [[(coef, _)]] = fit_path(Z[None, None], y - 1, "lasso", [0.1])
+        X, _ = fit_path(Z[None, None], y - 1, "lasso", [0.1])
+        coef = _coef(X[0, 0])
         assert np.all(np.abs(coef.weights[:2]) > 0.1)
         assert np.all(np.abs(coef.weights[2:]) < np.abs(coef.weights[:2]).min())
 
@@ -827,9 +898,9 @@ class TestNewtonInAnyUnits:
         reports = []
 
         def recording(*args):
-            fits = fit_path(*args)
-            reports.extend(report for row in fits for _, report in row)
-            return fits
+            X, fits = fit_path(*args)
+            reports.extend(report for row in fits for report in row)
+            return X, fits
 
         monkeypatch.setattr("eqc.selection.fit_path", recording)
         monkeypatch.setattr("eqc.binary.fit_path", recording)
@@ -1054,14 +1125,15 @@ class TestHingeForms:
         X[:, 1] = X[:, 0]
         Z = 1e3 * X
         costs = [1e-3, 1.0, 1e3]
-        [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
-        for (coef, report), cost in zip(fits, costs):
+        X, [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
+        for x, report, cost in zip(X[0], fits, costs):
+            coef = _coef(x)
             assert np.all(np.isfinite(coef.weights)) and np.isfinite(coef.intercepts[0])
             assert report.final_loss == hinge_loss(coef, cost, Z, y)
             assert report.grad_norm_at_exit <= 1e-6
             smo, _ = _smo_svm(Z, y, cost)
             assert report.final_loss <= hinge_loss(smo, cost, Z, y) + 1e-9
-        top = fits[-1][1]
+        top = fits[-1]
         assert not top.converged and top.iterations < metalearners.MAX_ITER
         assert top.grad_norm_at_exit > metalearners.TOL / 10
 
@@ -1116,16 +1188,16 @@ class TestHingeEdgeCases:
         Z = rng.standard_normal((30, 3)) + 3.0 * (y[:, None] - 1.5) * np.array([1.0, 0.5, 0.0])
         assert _strictly_separable(Z, y)
         costs = np.array([10.0, 100.0, 1000.0, 10000.0])
-        [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
-        hard = [coef for coef, _ in fits]
-        half_norm = 30 * costs[0] * fits[0][1].final_loss  # |w*|^2 / 2 up to 30 costs[0] gap
-        for (coef, report), cost in zip(fits, costs):
+        X, [fits] = fit_path(Z[None, None], y - 1, "hinge", costs)
+        hard = [_coef(x) for x in X[0]]
+        half_norm = 30 * costs[0] * fits[0].final_loss  # |w*|^2 / 2 up to 30 costs[0] gap
+        for coef, report, cost in zip(hard, fits, costs):
             assert report.converged
             s = 2.0 * (y - 1.5)
             assert np.all(s * coef.scores(Z[None])[:, 0] >= 1.0 - 1e-6)
             assert (abs(30 * cost * report.final_loss - half_norm)
                     <= 30 * cost * 1e-9 + 30 * costs[0] * 1e-9)
-            for other, (_, other_report), other_cost in zip(hard, fits, costs):
+            for other, other_report, other_cost in zip(hard, fits, costs):
                 assert (np.linalg.norm(coef.weights - other.weights)
                         <= _weight_bound(30, cost, report.grad_norm_at_exit)
                         + _weight_bound(30, other_cost, other_report.grad_norm_at_exit))

@@ -437,9 +437,10 @@ class TestFit:
             table = estimate_quantile_table(data, QuantileParams.common(0.4, 4))
             lam = 0.1
             soft, soft_report = fit_on_design(*build_design(data, table), lam)
-            [[(ridge, ridge_report)]] = fit_path(
+            X, [[ridge_report]] = fit_path(
                 class_transforms(data.X, table)[None], y - 1, "ridge", [lam]
             )
+            ridge = Coefficients(X[0, 0, :1], X[0, 0, 1:])
             assert np.array_equal(soft.intercepts, ridge.intercepts)
             assert np.array_equal(soft.weights, ridge.weights)
             assert soft.weights[2] == 0.0

@@ -18,9 +18,12 @@ from eqc import (
     predict_multiclass,
     tune_and_train,
 )
-from eqc.metalearners import fit_path
+from eqc.binary import class_transforms, compute_scaling, labels_from_scores
+from eqc.ingest import SparseDtm
+from eqc.metalearners import Coefficients, fit_path
+from eqc.quantiles import estimate_quantile_table
 from eqc.scenarios import generate
-from eqc.selection import _choose_cell
+from eqc.selection import LEARNERS, _choose_cell, _fold_errors
 
 
 def _rng(seed=0):
@@ -90,7 +93,8 @@ def _toy_binary(seed=0, n=60, p=3, shift=1.0):
 
 
 def _cv_fits(monkeypatch, data, grid, learner="ridge"):
-    """The fits of every fit_path call one tune_and_train makes in CV."""
+    """What every fit_path call that one tune_and_train makes in CV
+    returns: the solutions X and the reports."""
     calls = []
 
     def recording(*args):
@@ -159,9 +163,9 @@ class TestTuneAndTrain:
                                  ("multiclass-ridge", three, 3)):
             calls = _cv_fits(monkeypatch, data, grid, learner)
             assert len(calls) == 4
-            for fits in calls:
-                assert [len(per_theta) for per_theta in fits] == [2, 2, 2]
-                assert {coef.n_classes for per_theta in fits for coef, _ in per_theta} == {K}
+            for X, reports in calls:
+                assert [len(per_theta) for per_theta in reports] == [2, 2, 2]
+                assert X.shape == (3, 2, K - 1 + data.p)  # K - 1 intercepts, then weights
 
     def test_heldout_label_corruption_leaves_fold_models_alone(self, monkeypatch):
         # models inside fold t are fit on S minus S_t; flipping the held-out
@@ -174,13 +178,10 @@ class TestTuneAndTrain:
         y_bad[fold == 1] = 3 - y_bad[fold == 1]
         # CV calls fit_path once per fold, on the stack of both thetas; the
         # refit goes through eqc.binary's fit_path and is not recorded
-        [_, rec_a] = _cv_fits(monkeypatch, data, grid)
-        [_, rec_b] = _cv_fits(monkeypatch, Dataset(data.X, y_bad), grid)
-        assert len(rec_a) == len(rec_b) == 2  # fold 1, both thetas
-        for fa, fb in zip(rec_a, rec_b):
-            [(ca, _)], [(cb, _)] = fa, fb
-            assert ca.intercepts[0] == cb.intercepts[0]
-            assert np.array_equal(ca.weights, cb.weights)
+        [_, (X_a, _)] = _cv_fits(monkeypatch, data, grid)
+        [_, (X_b, _)] = _cv_fits(monkeypatch, Dataset(data.X, y_bad), grid)
+        assert X_a.shape[:2] == X_b.shape[:2] == (2, 1)  # fold 1, both thetas, one alpha
+        assert np.array_equal(X_a, X_b)
 
     def test_missing_class_fold_skipped_with_warning(self):
         # both class-2 members sit in fold 0 (seed picked for that), so
@@ -303,6 +304,101 @@ class TestFittedModelPredictsAsScored:
         tr, te = data.subset(folds != 2), data.subset(folds == 2)
         model = fit_binary_eqc(tr, QuantileParams.common(0.3, 12), "hinge", 1.0)
         assert misclassification_rate(predict_binary(te.X, model), te.y) == cv.per_fold[2, 0, 0]
+
+
+def _count_data(K, n=90, p=12, seed=1):
+    """Sparse counts of K classes with a constant column. At theta 0.2
+    every column of a design is constant, so its fits are intercepts alone,
+    exactly 0 for balanced classes, and held-out scores are exactly 0."""
+    rng = np.random.default_rng([seed, K])
+    y = np.repeat(np.arange(1, K + 1), n // K)
+    X = rng.poisson(np.linspace(0.05, 0.5, p) * (1 + 0.6 * (y[:, None] - 1))).astype(float)
+    X[:, 0] = 1
+    return Dataset(X, y)
+
+
+def _per_cell_errors(tr, te, thetas, alphas, learner, scaling):
+    """The referee of _fold_errors: its per-cell scoring before the scores
+    became one product per theta. Each (theta, alpha) cell builds its
+    Coefficients from fit_path's solution, scores with .scores, labels by
+    labels_from_scores and rates by misclassification_rate. Returns the
+    errors and the number of held-out scores that are exactly 0."""
+    if scaling is not None:
+        scaler = compute_scaling(tr.X, scaling)
+        tr, te = (Dataset(scaler.apply(d.X), d.y) for d in (tr, te))
+    tables = [estimate_quantile_table(tr, QuantileParams.common(th, tr.p)) for th in thetas]
+    Q = np.stack([class_transforms(tr.X, table) for table in tables])
+    m = Q.shape[1]
+    solver = "ridge" if learner == "multiclass-ridge" else learner
+    X, _ = fit_path(Q, np.searchsorted(tr.class_ids, tr.y), solver, alphas)
+    errs, ties = np.full((len(thetas), len(alphas)), np.nan), 0
+    for h, table in enumerate(tables):
+        Q_te = class_transforms(te.X, table)
+        for a, x in enumerate(X[h]):
+            scores = Coefficients(x[:m], x[m:]).scores(Q_te)
+            ties += np.count_nonzero(scores == 0.0)
+            errs[h, a] = misclassification_rate(labels_from_scores(scores, table.class_ids), te.y)
+    return errs, ties
+
+
+class TestFoldErrorsPerCellReferee:
+    # _fold_errors scores each theta's alphas with one product; its errors
+    # must equal the per-cell referee's bit for bit, ties included, and
+    # for a held-out part in Fortran order as the text corpus builds it
+    THETAS, ALPHAS = [0.2, 0.5, 0.8], [0.01, 1.0, 100.0]
+
+    def _alphas(self, learner):
+        return [np.nan] if learner in ("logistic", "unit-weights") else self.ALPHAS
+
+    @pytest.mark.parametrize("scaling", [None, "sd"])
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_counts_with_exact_zero_scores(self, learner, scaling):
+        data = _count_data(3 if learner == "multiclass-ridge" else 2)
+        folds = make_folds(data.y, 3, True, 0)
+        ties = 0
+        for t in range(3):
+            tr, te = data.subset(folds != t), data.subset(folds == t)
+            referee, tied = _per_cell_errors(tr, te, self.THETAS, self._alphas(learner),
+                                             learner, scaling)
+            ours = _fold_errors(tr, te, self.THETAS, self._alphas(learner), learner, scaling)
+            assert ours.tobytes() == referee.tobytes()
+            ties += tied
+        assert ties > 0
+
+    @pytest.mark.parametrize("scaling", [None, "sd"])
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_fortran_held_out_part_of_a_term_matrix(self, learner, scaling):
+        data = _count_data(3 if learner == "multiclass-ridge" else 2, seed=2)
+        docs, terms = np.nonzero(data.X)
+        dtm = SparseDtm(data.n, data.p, docs, terms, data.X[docs, terms].astype(int), data.y)
+        cols = [3, 0, 7, 11, 1, 9, 5, 2]
+        folds = make_folds(data.y, 3, True, 4)
+        for t in range(3):
+            tr, te = dtm.subset(folds != t, cols), dtm.subset(folds == t, cols)
+            assert te.X.flags.f_contiguous and not te.X.flags.c_contiguous
+            referee, _ = _per_cell_errors(tr, te, self.THETAS, self._alphas(learner),
+                                          learner, scaling)
+            ours = _fold_errors(tr, te, self.THETAS, self._alphas(learner), learner, scaling)
+            assert ours.tobytes() == referee.tobytes()
+
+    @pytest.mark.parametrize(
+        "learner", ["ridge", "lasso", "logistic", "unit-weights", "multiclass-ridge"])
+    def test_only_the_refit_builds_coefficients(self, monkeypatch, learner):
+        # CV keeps its solutions in fit_path's array: a tuning run builds
+        # one Coefficients, the refit's (the hinge is left out: its solver
+        # prices every report through hinge_loss, which takes one)
+        built = []
+        post_init = Coefficients.__post_init__
+
+        def counting(coef):
+            built.append(coef)
+            post_init(coef)
+
+        monkeypatch.setattr(Coefficients, "__post_init__", counting)
+        data = _count_data(3 if learner == "multiclass-ridge" else 2)
+        grid = TuningGrid((0.3, 0.5, 0.7), (0.01, 1.0), folds=3, seed=2)
+        model, _ = tune_and_train(data, grid, learner)
+        assert len(built) == 1 and built[0] is model.coef
 
 
 def _fold_mean(counts, sizes):
