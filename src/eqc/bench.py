@@ -33,7 +33,7 @@ from .binary import predict_binary
 from .data import Dataset
 from .errors import DomainError, EqcError
 from .features import fisher_exact_select, remove_low_frequency
-from .ingest import SparseDtm, load_dense_csv, load_sparse_dtm, read_key_values
+from .ingest import SparseDtm, load_dense_csv, load_sparse_dtm, open_new, read_key_values
 from .multiclass import predict_multiclass
 from .scenarios import FAMILIES, ScenarioSpec, generate
 from .selection import TuningGrid, make_folds, misclassification_rate, tune_and_train
@@ -217,9 +217,12 @@ def summarize(rows) -> list[dict]:
 
 
 def _write_csv(out_dir: str, name: str, header, records) -> str:
-    """One CSV of str() cells; a float's str is its repr, so values round-trip."""
+    """One CSV of str() cells; a float's str is its repr, so values round-trip.
+
+    The file is written new (open_new), so a hard link keeps the old content.
+    """
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         for cells in (header, *records):
             fh.write(",".join(map(str, cells)) + "\n")
     return path
@@ -314,6 +317,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     are the same as from one process. A single usable CPU (for example
     under `taskset -c 0`), or a platform without fork, runs every task set
     in this process. No worker outlives the call.
+
+    Each report file is written new (open_new), never truncated, so a
+    hard link to a report of an earlier run keeps its content.
     """
     rows, sens_rows, failures = [], [], []
     for set_rows, set_sens, set_failures in _task_set_results(config):

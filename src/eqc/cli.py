@@ -19,7 +19,7 @@ from .bench import (
 from .binary import eqc_scores, labels_from_scores
 from .data import Dataset
 from .errors import EqcError
-from .ingest import load_dense_csv, save_dense_csv
+from .ingest import load_dense_csv, open_new, save_dense_csv
 from .modelio import load_model, save_model
 from .multiclass import probabilities_from_scores
 from .scenarios import FAMILIES, ScenarioSpec, generate
@@ -120,7 +120,7 @@ def _cmd_predict(args) -> int:
         header = "index,prediction,score"
         shown = scores[:, 0]
     cols = zip(labels_from_scores(scores, model.class_ids), shown)
-    with open(args.out, "w") as fh:
+    with open_new(args.out) as fh:
         fh.write(header + "\n")
         for i, (pred, score) in enumerate(cols):
             fh.write(f"{i},{int(pred)},{float(score)!r}\n")

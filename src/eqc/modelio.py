@@ -14,7 +14,7 @@ import numpy as np
 
 from .binary import FittedEqc, VariableScaling
 from .errors import ParseError
-from .ingest import read_key_values
+from .ingest import open_new, read_key_values
 from .metalearners import Coefficients
 from .quantiles import QuantileParams, QuantileTable
 
@@ -27,6 +27,8 @@ def _fmt_vec(v) -> str:
 
 
 def save_model(model: FittedEqc, path) -> None:
+    """Write model to path as a new file (open_new), so a hard link keeps
+    the old content."""
     lines = [
         f"format = {FORMAT_NAME}",
         f"version = {FORMAT_VERSION}",
@@ -44,7 +46,7 @@ def save_model(model: FittedEqc, path) -> None:
     if model.scaling is not None:
         lines.append("scaling_center = " + _fmt_vec(model.scaling.center))
         lines.append("scaling_scale = " + _fmt_vec(model.scaling.scale))
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

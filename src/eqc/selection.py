@@ -20,6 +20,7 @@ import numpy as np
 from .binary import class_transforms, compute_scaling, fit_binary_eqc, labels_from_scores
 from .data import Dataset
 from .errors import DomainError, TuningError
+from .ingest import open_new
 from .metalearners import fit_path, linear_scores
 from .multiclass import fit_multiclass_eqc
 from .quantiles import QuantileParams, estimate_quantile_table
@@ -93,7 +94,9 @@ class CvResult:
         return rows
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        """Write to_csv_rows to path as a new file (open_new), so a hard
+        link keeps the old content."""
+        with open_new(path) as fh:
             fh.write("\n".join(self.to_csv_rows()) + "\n")
 
 

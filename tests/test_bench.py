@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +77,12 @@ class TestScenarioMode:
 
         a = run("a")
         b = run("b")
+        c = run("a")  # over a's reports
         assert [r[2] for r in a.rows] == [0, 0, 1, 1, 2, 2, 3, 3]  # replication order
-        assert a.rows == b.rows
-        assert open(a.summary_path).read() == open(b.summary_path).read()
-        assert open(a.long_path).read() == open(b.long_path).read()
+        assert a.rows == b.rows == c.rows
+        for report in (a, c):
+            assert open(report.summary_path, "rb").read() == open(b.summary_path, "rb").read()
+            assert open(report.long_path, "rb").read() == open(b.long_path, "rb").read()
 
     def test_failure_fraction_aborts(self, tmp_path):
         # a binary classifier on 3-class data fails every replication
@@ -328,6 +331,44 @@ class TestMulticlassReporting:
         lines = open(report.sensitivity_path).read().strip().splitlines()
         assert lines[0] == "classifier,mean_error,class_1,class_2,class_3"
         assert len(lines) == 2
+
+
+class TestReportsWrittenNew:
+    def test_rerun_keeps_hard_links(self, tmp_path):
+        # a rerun into the same out dir writes each report as a new file:
+        # a hard link to the earlier report keeps its bytes
+        rng = _rng(9)
+        X = rng.standard_normal((90, 3))
+        y = np.repeat([1, 2, 3], 30)
+        X[y == 1, 0] += 1.0
+        X[y == 3, 1] -= 1.0
+        path = tmp_path / "m.csv"
+        save_dense_csv(Dataset(X, y), path)
+
+        def run(out, seed):
+            return run_experiment(ExperimentConfig(
+                classifiers=("eqc-multiclass",),
+                replications=1,
+                grid=TuningGrid((0.5,), (0.1, 1.0), folds=2, seed=0),
+                dataset_path=str(path),
+                outer_folds=3,
+                seed=seed,
+                out_dir=str(tmp_path / out),
+            ))
+
+        first = run("out", 10)
+        reports = [Path(p) for p in (first.long_path, first.summary_path,
+                                     first.sensitivity_path)]
+        old = [p.read_bytes() for p in reports]
+        for p in reports:
+            os.link(p, p.with_suffix(".link"))
+        run("out", 11)
+        run("fresh", 11)
+        for p, before in zip(reports, old):
+            after = (tmp_path / "fresh" / p.name).read_bytes()
+            assert after != before, p.name
+            assert p.with_suffix(".link").read_bytes() == before, p.name
+            assert p.read_bytes() == after, p.name
 
 
 class TestGoldenOutputs:

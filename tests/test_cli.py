@@ -1,3 +1,4 @@
+import os
 import sys
 from dataclasses import replace
 
@@ -173,6 +174,89 @@ class TestPredictScoresOnce:
             shown = class_probabilities(X, fitted).max(axis=1)
         rows = [f"{i},{int(k)},{float(v)!r}" for i, (k, v) in enumerate(zip(preds, shown))]
         assert out.read_text() == "\n".join([header] + rows) + "\n"
+
+
+def _rewrite_keeps_links(tmp_path, write, names):
+    """write(out_dir, variant) writes the files names into out_dir. Writing
+    variant 1 over variant 0 must create each file new: a hard link made
+    to it before keeps variant 0's bytes, and the path holds the bytes
+    that variant 1 writes into a fresh directory."""
+    old_dir, fresh_dir = tmp_path / "old", tmp_path / "fresh"
+    old_dir.mkdir()
+    fresh_dir.mkdir()
+    write(old_dir, 0)
+    old = {name: (old_dir / name).read_bytes() for name in names}
+    for name in names:
+        os.link(old_dir / name, old_dir / f"{name}.link")
+    write(old_dir, 1)
+    write(fresh_dir, 1)
+    for name in names:
+        new = (fresh_dir / name).read_bytes()
+        assert new != old[name], name
+        assert (old_dir / f"{name}.link").read_bytes() == old[name], name
+        assert (old_dir / name).read_bytes() == new, name
+
+
+def _simulate(out, seed):
+    assert cli_entry([
+        "simulate", "--family", "t3", "--n", "40", "--p", "4",
+        "--seed", str(seed), "--out", str(out),
+    ]) == 0
+
+
+class TestOutputsWrittenNew:
+    # every writer creates its file new instead of truncating the old one
+    def test_simulate_out(self, tmp_path):
+        _rewrite_keeps_links(tmp_path, lambda d, v: _simulate(d / "d.csv", v), ["d.csv"])
+
+    def test_fit_out_and_cv_out(self, tmp_path):
+        for v in (0, 1):
+            _simulate(tmp_path / f"train{v}.csv", v)
+
+        def fit(d, v):
+            assert cli_entry([
+                "fit", "--data", str(tmp_path / f"train{v}.csv"),
+                "--classifier", "eqc-ridge", "--theta-grid", "0.3,0.7",
+                "--alpha-grid", "0.1,1.0", "--folds", "3", "--seed", "5",
+                "--out", str(d / "model.txt"), "--cv-out", str(d / "cv.csv"),
+            ]) == 0
+
+        _rewrite_keeps_links(tmp_path, fit, ["model.txt", "cv.csv"])
+
+    def _model(self, tmp_path):
+        for v in (0, 1):
+            _simulate(tmp_path / f"data{v}.csv", v)
+        model = tmp_path / "model.txt"
+        assert cli_entry([
+            "fit", "--data", str(tmp_path / "data0.csv"), "--classifier", "eqc-ridge",
+            "--theta-grid", "0.5", "--alpha-grid", "0.1", "--folds", "2",
+            "--out", str(model),
+        ]) == 0
+        return model
+
+    def _predict(self, model, data, out):
+        assert cli_entry(["predict", "--model", str(model), "--data", str(data),
+                          "--out", str(out)]) == 0
+
+    def test_predict_out(self, tmp_path):
+        model = self._model(tmp_path)
+        _rewrite_keeps_links(
+            tmp_path,
+            lambda d, v: self._predict(model, tmp_path / f"data{v}.csv", d / "p.csv"),
+            ["p.csv"],
+        )
+
+    def test_symlink_out_stays_a_symlink(self, tmp_path):
+        # the link is written through, as before: its target gets the bytes
+        model = self._model(tmp_path)
+        target, link, fresh = tmp_path / "target.csv", tmp_path / "p.csv", tmp_path / "f.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        self._predict(model, tmp_path / "data1.csv", link)
+        self._predict(model, tmp_path / "data1.csv", fresh)
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
 
 
 class TestUsageErrors:
