@@ -13,12 +13,13 @@ Both yield (replication, outer fold, train, test) task sets, and one
 function tunes, predicts and scores every classifier on each of them.
 
 All randomness derives from the master seed by replication index, so a
-run is reproducible. Task sets are drawn (and any Fisher selection made)
-in order in the calling process; their tasks may run in worker processes,
-but results are collected in task order, so rows and reports do not
-depend on how many workers ran them. Every fit runs the metalearners
-solvers at their module settings (TOL, MAX_ITER, ARMIJO, BACKTRACK); a
-run has no solver options of its own.
+run is reproducible. A scenario replication is drawn where its task set
+runs, from its own seed; dataset task sets are cut (and any Fisher
+selection made) in order in the calling process. Task sets may run in
+worker processes, but results are collected in task order, so rows and
+reports do not depend on how many workers ran them. Every fit runs the
+metalearners solvers at their module settings (TOL, MAX_ITER, ARMIJO,
+BACKTRACK); a run has no solver options of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import DomainError, EqcError
 from .features import fisher_exact_select, remove_low_frequency
 from .ingest import SparseDtm, load_dense_csv, load_sparse_dtm, open_new, read_key_values
 from .multiclass import predict_multiclass
-from .scenarios import FAMILIES, ScenarioSpec, generate
+from .scenarios import FAMILIES, ScenarioSpec, generate, preload_sampler
 from .selection import TuningGrid, make_folds, misclassification_rate, tune_and_train
 
 CLASSIFIERS = (
@@ -158,22 +159,20 @@ def _load_dataset(config: ExperimentConfig) -> Dataset | SparseDtm:
 
 
 def _task_sets(config: ExperimentConfig):
-    """(replication, outer fold, train, test) of every task set, in run order.
+    """_run_task_set's arguments after config for every task set, in run order.
 
-    Scenario mode draws one train/test pair per replication, with fold
-    None. Dataset mode yields every outer fold of every replication, after
-    any Fisher selection on the training part; a fold whose training part
-    misses a class comes with train and test None. A sparse corpus is
-    densified fold by fold, never whole: the training part at every term,
-    as Fisher selection reads it, then cut to the selected terms; the
-    held-out part directly at the selected terms (every term without
-    selection).
+    Scenario mode yields only each replication's index: _run_task_set
+    draws the pair wherever it runs, so no data is drawn or sent here.
+    Dataset mode yields (replication, outer fold, train, test) for every
+    outer fold of every replication, after any Fisher selection on the
+    training part; a fold whose training part misses a class comes with
+    train and test None. A sparse corpus is densified fold by fold, never
+    whole: the training part at every term, as Fisher selection reads it,
+    then cut to the selected terms; the held-out part directly at the
+    selected terms (every term without selection).
     """
     if config.scenario is not None:
-        for rep in range(config.replications):
-            data = generate(replace(config.scenario, seed=_sub_seed(config.seed, rep)),
-                            config.test_size)
-            yield rep, None, data.train, data.test
+        yield from ((rep,) for rep in range(config.replications))
         return
     data = _load_dataset(config)
     classes = set(np.unique(data.y))
@@ -228,14 +227,19 @@ def _write_csv(out_dir: str, name: str, header, records) -> str:
     return path
 
 
-def _run_task_set(config: ExperimentConfig, rep: int, fold: int | None,
-                  train: Dataset | None, test: Dataset | None):
+def _run_task_set(config: ExperimentConfig, rep: int, fold: int | None = None,
+                  train: Dataset | None = None, test: Dataset | None = None):
     """Tune, predict and score every classifier on one task set.
 
-    Returns the set's rows, its eqc-multiclass sensitivities and its
-    failure strings, each in classifier order; an EqcError fails only its
-    own task.
+    In scenario mode the set is replication rep's train/test pair, drawn
+    here from its seed; an error in the draw raises. Returns the set's
+    rows, its eqc-multiclass sensitivities and its failure strings, each
+    in classifier order; an EqcError in a task fails only that task.
     """
+    if config.scenario is not None:
+        data = generate(replace(config.scenario, seed=_sub_seed(config.seed, rep)),
+                        config.test_size)
+        train, test = data.train, data.test
     rows, sens_rows, failures = [], [], []
     g = config.grid
     where = f"rep {rep} " if fold is None else f"rep {rep} fold {fold} "
@@ -275,9 +279,11 @@ def _task_set_results(config: ExperimentConfig):
     One worker per usable CPU, at most one per task set. With one worker,
     or where fork is not available, every set runs in this process;
     otherwise in forked worker processes, which reuse this process's
-    imports, with at most two sets per worker pending at a time. The task
-    sets themselves are drawn here either way. The pool is closed before
-    this generator finishes or raises.
+    imports, with at most two sets per worker pending at a time. A
+    scenario replication is drawn by the process that runs its set; a
+    dataset fold is cut here either way. An error a worker raises is
+    raised here, and the pool is closed before this generator finishes or
+    raises.
     """
     import multiprocessing
 
@@ -289,9 +295,13 @@ def _task_set_results(config: ExperimentConfig):
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    # np.unique imports numpy.ma on its first call (about 14 ms); imported
-    # here, the workers, forked afresh on every call, need not import it
+    # np.unique imports numpy.ma on its first call (about 14 ms), and a t3
+    # draw scipy.special (about 90 ms); imported here, the workers, forked
+    # afresh on every call, need not import them
     import numpy.ma  # noqa: F401
+
+    if config.scenario is not None:
+        preload_sampler(config.scenario.family)
 
     pending = deque()
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -312,11 +322,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the run aborts if at least 20% of them fail.
 
     Task sets run in forked worker processes, one per CPU that this
-    process may run on (its affinity), at most one per task set; results
-    are collected in task order, so rows, failures and every report file
-    are the same as from one process. A single usable CPU (for example
-    under `taskset -c 0`), or a platform without fork, runs every task set
-    in this process. No worker outlives the call.
+    process may run on (its affinity), at most one per task set; each
+    worker draws the scenario replications it runs, while dataset folds
+    are cut in this process. Results are collected in task order, so rows,
+    failures and every report file are the same as from one process, and
+    an error raised in a worker (such as a DomainError from a draw) is
+    raised here. A single usable CPU (for example under `taskset -c 0`),
+    or a platform without fork, runs every task set in this process. No
+    worker outlives the call.
 
     Each report file is written new (open_new), never truncated, so a
     hard link to a report of an earlier run keeps its content.

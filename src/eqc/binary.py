@@ -121,16 +121,21 @@ def qc_discriminant(x, table: QuantileTable):
     return z @ np.ones(table.p)
 
 
-def class_transforms(x, table: QuantileTable):
-    """The K-1 transforms Q^(k,K)(x) against the last class, on axis 0.
+def class_transforms(x, table: QuantileTable | list[QuantileTable]):
+    """The K-1 transforms Q^(k,K)(x) against the last class, on the class axis.
 
     x is a point (p,) or a matrix (n, p) in the table's units (scaled, for
     a scaled fit); the result has shape (K-1,) + x.shape. For K = 2 its one
-    entry is the binary transform, first class against second.
+    entry is the binary transform, first class against second. table may
+    also be a theta stack, a list of H tables over the same classes (as
+    estimate_quantile_table returns for a sequence of levels); the result
+    then has shape (H, K-1) + x.shape, from one transform call per class.
     """
-    ids = table.class_ids
+    one = isinstance(table, QuantileTable)
+    ids = (table if one else table[0]).class_ids
     ref = int(ids[-1])
-    return np.stack([quantile_difference_transform(x, table, int(k), ref) for k in ids[:-1]])
+    return np.stack([quantile_difference_transform(x, table, int(k), ref) for k in ids[:-1]],
+                    axis=0 if one else 1)
 
 
 def eqc_scores(x, model: FittedEqc) -> np.ndarray:

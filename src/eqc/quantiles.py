@@ -9,6 +9,7 @@ module is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +112,18 @@ def quantile_distance(u, theta):
     return out
 
 
+def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+    """Each column of rows (n, p) in ascending order: the one sort of a
+    class's training sample, from which every level's quantile is read."""
+    return np.sort(rows, axis=0)
+
+
 def _quantile_of_sorted(sorted_cols: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Column-wise interpolated quantiles of pre-sorted columns.
 
-    sorted_cols: (n, p) with each column ascending; theta: (p,).
-    The caller sorts: estimate_quantile_table sorts the class's columns
-    on every call, once per theta vector.
+    sorted_cols: (n, p) with each column ascending; theta: (..., p), one
+    row of levels per table of a theta stack. Returns (..., p). The
+    interpolation is elementwise, so each row has the bits it has alone.
     """
     n = sorted_cols.shape[0]
     h = (n - 1) * theta
@@ -128,44 +135,61 @@ def _quantile_of_sorted(sorted_cols: np.ndarray, theta: np.ndarray) -> np.ndarra
     return a + frac * (sorted_cols[hi, cols] - a)
 
 
-def estimate_quantile_table(data: Dataset, theta: QuantileParams) -> QuantileTable:
+def estimate_quantile_table(
+    data: Dataset, theta: QuantileParams | Sequence[QuantileParams]
+) -> QuantileTable | list[QuantileTable]:
     """Per-class, per-variable empirical quantiles of a training set.
 
-    The rows follow data.class_ids, the classes present in data.
+    theta is one QuantileParams, which gives one QuantileTable, or a
+    sequence of them (a theta stack, as a CV fold tunes), which gives the
+    list of their tables. Each class's columns are sorted once and every
+    level of the stack is read from that one sort. The rows follow
+    data.class_ids, the classes present in data.
     """
-    if theta.p != data.p:
-        raise DomainError(
-            f"theta has {theta.p} entries but data has {data.p} variables"
-        )
+    one = isinstance(theta, QuantileParams)
+    thetas = [theta] if one else list(theta)
+    for params in thetas:
+        if params.p != data.p:
+            raise DomainError(
+                f"theta has {params.p} entries but data has {data.p} variables"
+            )
     class_ids = data.class_ids
     if class_ids.size == 0:
         raise FitError("dataset has no observations")
-    q = np.empty((class_ids.size, data.p))
-    for i, k in enumerate(class_ids):
-        rows = data.X[data.y == k]
-        q[i] = _quantile_of_sorted(np.sort(rows, axis=0), theta.theta)
-    return QuantileTable(q, theta, class_ids)
+    levels = np.stack([params.theta for params in thetas])
+    q = np.stack([_quantile_of_sorted(_sorted_columns(data.X[data.y == k]), levels)
+                  for k in class_ids], axis=1)
+    tables = [QuantileTable(q_h, params, class_ids) for q_h, params in zip(q, thetas)]
+    return tables[0] if one else tables
 
 
-def quantile_difference_transform(x, table: QuantileTable, k1: int, k2: int):
+def quantile_difference_transform(x, table: QuantileTable | list[QuantileTable],
+                                  k1: int, k2: int):
     """Component-wise difference of quantile distances to classes k1 and k2.
 
     Component j is rho_{theta_j}(x_j - q_{k1,j}) - rho_{theta_j}(x_j - q_{k2,j}).
     Accepts a single input vector (p,) or a matrix (n, p) of row vectors,
-    returning the same shape. k1 == k2 gives the zero transform.
+    returning the same shape. k1 == k2 gives the zero transform. table may
+    also be a theta stack, a list of H tables over the same classes and
+    variables; the result then has a leading axis of H, computed in one
+    broadcast pass with each table's bits.
     """
+    one = isinstance(table, QuantileTable)
+    tables = [table] if one else table
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     X = np.atleast_2d(x)
-    if X.shape[1] != table.p:
+    if X.shape[1] != tables[0].p:
         raise DomainError(
-            f"input has {X.shape[1]} variables, table has {table.p}"
+            f"input has {X.shape[1]} variables, table has {tables[0].p}"
         )
-    q1 = table.row(k1)
-    q2 = table.row(k2)
-    th = table.theta.theta
+    q1 = np.stack([t.row(k1) for t in tables])[:, None]
+    q2 = np.stack([t.row(k2) for t in tables])[:, None]
+    th = np.stack([t.theta.theta for t in tables])[:, None]
     out = quantile_distance(X - q1, th) - quantile_distance(X - q2, th)
-    return out[0] if squeeze else out
+    if squeeze:
+        out = out[:, 0]
+    return out[0] if one else out
 
 
 def degenerate_columns(Z: np.ndarray) -> np.ndarray:

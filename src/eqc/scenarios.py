@@ -126,6 +126,14 @@ def _raw_sd(family: str, var_index: int) -> float:
     return _HETERO_MOMENTS[var_index % 5][1]
 
 
+def preload_sampler(family: str) -> None:
+    """Import what a draw of the family loads beyond numpy: scipy.special
+    for t3, nothing for the others. bench calls it before forking its
+    workers, which then inherit the import; import eqc loads no scipy."""
+    if family == "t3":
+        import scipy.special  # noqa: F401
+
+
 def _standardized_column(family: str, var_index: int, z: np.ndarray) -> np.ndarray:
     """Map standard normal draws through one marginal and standardize."""
     if family == "t3":

@@ -1,14 +1,16 @@
 """Stratified T-fold cross-validation over a (theta, alpha) grid.
 
-For every fold and every theta, class quantiles are estimated on the
-training part only (no leakage). Every learner, multiclass-ridge too, is
-fitted at every (theta, alpha) of the fold by one fit_path call on the
-stack of the fold's training designs; per theta, the held-out transforms
-score every alpha in one linear_scores product, the one a fitted model
-predicts with. The (theta, alpha) cell with the lowest mean
-misclassification wins and the model is refit on the full data. Cells
-whose fold-mean errors are equal up to floating-point rounding are tied;
-ties prefer stronger regularization, then theta nearest 0.5.
+For every fold, class quantiles are estimated on the training part only
+(no leakage), for the whole theta grid at once: each class is sorted once
+per fold and every theta's quantiles are read from that sort. Every
+learner, multiclass-ridge too, is fitted at every (theta, alpha) of the
+fold by one fit_path call on the stack of the fold's training designs;
+per theta, the held-out transforms score every alpha in one linear_scores
+product, the one a fitted model predicts with. The (theta, alpha) cell
+with the lowest mean misclassification wins and the model is refit on the
+full data. Cells whose fold-mean errors are equal up to floating-point
+rounding are tied; ties prefer stronger regularization, then theta
+nearest 0.5.
 """
 
 from __future__ import annotations
@@ -141,26 +143,31 @@ def misclassification_rate(predictions, truth) -> float:
 def _fold_errors(tr: Dataset, te: Dataset, thetas, alphas, learner, scaling) -> np.ndarray:
     """Errors (H, A) for one fold; scaling and quantiles come from tr only.
 
-    Both parts are scaled once, then per theta made features once (the
-    training part not for unit-weights, whose weights are fixed). The
-    learner is fitted at every (theta, alpha) by one fit_path call on the
+    Both parts are scaled once. The H thetas are one stack: one quantile
+    table call sorts each class of tr once for every level, and one
+    class_transforms call per part builds the (H, K-1, n, p) features (the
+    training part not for unit-weights, whose weights are fixed), the
+    held-out stack only after the training stack is released. The learner
+    is fitted at every (theta, alpha) by one fit_path call on the training
     stack, multiclass-ridge as ridge. Per theta, one linear_scores product
     scores every alpha, with the product and label rule of predict.
     """
-    errs = np.full((len(thetas), len(alphas)), np.nan)
+    errs = np.empty((len(thetas), len(alphas)))
     if scaling is not None:
         scaler = compute_scaling(tr.X, scaling)
         tr, te = (Dataset(scaler.apply(d.X), d.y) for d in (tr, te))
-    tables = [estimate_quantile_table(tr, QuantileParams.common(th, tr.p)) for th in thetas]
+    tables = estimate_quantile_table(tr, [QuantileParams.common(th, tr.p) for th in thetas])
     if learner == "unit-weights":  # QC's weights are fixed: only p is read
         Q = np.empty((len(tables), 1, 0, tr.p))
     else:
-        Q = np.stack([class_transforms(tr.X, table) for table in tables])
-    positions = np.searchsorted(tr.class_ids, tr.y)
+        Q = class_transforms(tr.X, tables)
+    ids = tr.class_ids
+    positions = np.searchsorted(ids, tr.y)
     X, _ = fit_path(Q, positions, "ridge" if learner == "multiclass-ridge" else learner, alphas)
-    for h, table in enumerate(tables):
-        pred = labels_from_scores(linear_scores(class_transforms(te.X, table), X[h]),
-                                  table.class_ids)
+    del Q  # the training stack goes before the held-out one is built
+    Q = class_transforms(te.X, tables)
+    for h in range(len(tables)):
+        pred = labels_from_scores(linear_scores(Q[h], X[h]), ids)
         errs[h] = (pred != te.y).mean(axis=1)
     return errs
 

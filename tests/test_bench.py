@@ -6,6 +6,7 @@ import pytest
 
 from eqc import (
     Dataset,
+    DomainError,
     EqcError,
     ExperimentConfig,
     ScenarioSpec,
@@ -416,6 +417,21 @@ def _run_on_cpus(monkeypatch, config, cpus):
             return exc, pools
 
 
+def _record_draws(monkeypatch, log):
+    """Make every scenario draw of run_experiment append its process id to
+    the file log, in whichever process it runs."""
+    import eqc.bench
+
+    original = eqc.bench.generate
+
+    def recording(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("eqc.bench.generate", recording)
+
+
 class TestWorkerPool:
     """Task sets in two worker processes give what one process gives."""
 
@@ -445,6 +461,41 @@ class TestWorkerPool:
             replications=3, grid=_small_grid(), scenario=ScenarioSpec("t3", 40, 4, seed=0),
             test_size=300, seed=21)
         assert len(report.rows) == 9 and report.sensitivities
+
+    def test_draws_run_where_the_task_sets_run(self, monkeypatch, tmp_path):
+        log = tmp_path / "draws.txt"
+        _record_draws(monkeypatch, log)
+        report = self._same_on_one_and_two_cpus(
+            monkeypatch, tmp_path, classifiers=("qc", "emc"), replications=4,
+            grid=_small_grid(), scenario=ScenarioSpec("lognormal", 40, 4, seed=0),
+            test_size=200, seed=26)
+        assert len(report.rows) == 8
+        # the 1-CPU run comes first: its 4 draws in this process, then the
+        # 2-CPU run's 4 draws, none of them here
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == 8
+        assert pids[:4] == [os.getpid()] * 4
+        assert os.getpid() not in pids[4:]
+
+    def test_error_in_a_workers_draw_reaches_the_caller(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        log = tmp_path / "draws.txt"
+        _record_draws(monkeypatch, log)
+        # a test set of one observation makes generate raise a DomainError
+        config = ExperimentConfig(
+            classifiers=("qc",), replications=3, grid=_small_grid(),
+            scenario=ScenarioSpec("t3", 30, 3, seed=0), test_size=1, seed=27, out_dir="")
+        errors = {}
+        for cpus in (1, 2):
+            errors[cpus], pools = _run_on_cpus(monkeypatch, config, cpus)
+            assert pools == ([2] if cpus == 2 else [])
+            assert multiprocessing.active_children() == []
+            drawn_here = os.getpid() in [int(line) for line in log.read_text().split()]
+            assert drawn_here == (cpus == 1)
+            log.unlink()
+        assert type(errors[1]) is type(errors[2]) is DomainError
+        assert str(errors[1]) == str(errors[2]) == "n_test must be at least 2"
 
     def test_dense_csv_outer_folds(self, monkeypatch, tmp_path):
         path = TestDatasetMode()._dataset(tmp_path)

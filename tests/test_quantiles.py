@@ -7,9 +7,12 @@ from eqc import (
     DomainError,
     QuantileParams,
     QuantileTable,
+    TuningGrid,
+    class_transforms,
     estimate_quantile_table,
     quantile_difference_transform,
     quantile_distance,
+    tune_and_train,
 )
 from eqc.quantiles import _quantile_of_sorted
 
@@ -131,6 +134,95 @@ class TestQuantileTable:
         data = Dataset(np.zeros((4, 2)), [1, 1, 2, 2])
         with pytest.raises(DomainError):
             estimate_quantile_table(data, QuantileParams.common(0.5, 3))
+
+
+def _stack_problem(K: int, order: str):
+    """K classes on 6 columns, the last class a single row; column 1 is
+    constant and column 2 full of ties. X in the given memory order."""
+    rng = np.random.Generator(np.random.PCG64(K))
+    y = np.concatenate([np.repeat(np.arange(1, K), 9), [K]])
+    X = rng.standard_normal((y.size, 6)) + y[:, None]
+    X[:, 1] = 2.5
+    X[:, 2] = np.round(X[:, 2])
+    return Dataset(np.asarray(X, order=order), y)
+
+
+STACK_THETAS = [QuantileParams.common(t, 6) for t in (0.05, 0.3, 0.5, 0.95)] + [
+    QuantileParams(np.linspace(0.1, 0.9, 6))]
+
+
+def _per_theta_quantiles(data, params):
+    """The quantile matrix of one theta vector, each class sorted for it alone."""
+    return np.stack([_quantile_of_sorted(np.sort(data.X[data.y == k], axis=0), params.theta)
+                     for k in data.class_ids])
+
+
+def _per_theta_transforms(x, table):
+    """The K-1 transforms of one table, each class pair from its two distances."""
+    th = table.theta.theta
+    ref = table.row(table.class_ids[-1])
+    return np.stack([quantile_distance(x - table.row(k), th) - quantile_distance(x - ref, th)
+                     for k in table.class_ids[:-1]])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestThetaStack:
+    """A theta stack's tables and transforms are those of each theta alone."""
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tables_equal_each_theta_alone(self, K, order):
+        data = _stack_problem(K, order)
+        tables = estimate_quantile_table(data, STACK_THETAS)
+        assert len(tables) == len(STACK_THETAS)
+        for table, params in zip(tables, STACK_THETAS):
+            alone = estimate_quantile_table(data, params)
+            assert table.theta is params and np.array_equal(table.class_ids, data.class_ids)
+            assert _same_bits(table.q, alone.q)
+            assert _same_bits(table.q, _per_theta_quantiles(data, params))
+        # the constant column and the one-row class
+        assert np.all(tables[0].q[:, 1] == 2.5)
+        assert _same_bits(tables[0].q[-1], data.X[-1])
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transforms_equal_each_theta_alone(self, K, order):
+        data = _stack_problem(K, order)
+        tables = estimate_quantile_table(data, STACK_THETAS)
+        held_out = np.asarray(_stack_problem(K, "C").X[::-1] + 0.25, order=order)
+        for x in (data.X, held_out, held_out[3]):
+            Q = class_transforms(x, tables)
+            assert Q.shape == (len(tables), K - 1) + x.shape
+            for h, table in enumerate(tables):
+                alone, referee = class_transforms(x, table), _per_theta_transforms(x, table)
+                assert _same_bits(Q[h], alone) and _same_bits(Q[h], referee)
+                # the layout of x, so that a score product gives the same bits
+                assert Q[h].strides[1:] == alone.strides[1:] == referee.strides[1:]
+            # every class's quantile of the constant column is 2.5
+            assert np.all(Q[..., 1] == 0.0)
+
+    def test_one_sort_per_class_and_fold(self, monkeypatch):
+        import eqc.quantiles
+
+        sorts = []
+        original = eqc.quantiles._sorted_columns
+
+        def counting(rows):
+            sorts.append(rows.shape[0])
+            return original(rows)
+
+        monkeypatch.setattr(eqc.quantiles, "_sorted_columns", counting)
+        rng = np.random.Generator(np.random.PCG64(5))
+        y = np.repeat([1, 2], 15)
+        data = Dataset(rng.standard_normal((30, 4)) + y[:, None], y)
+        grid = TuningGrid((0.2, 0.4, 0.6, 0.8), (0.1, 1.0), folds=3)
+        tune_and_train(data, grid, "ridge")
+        # each of the 3 folds sorts its two classes once for all 4 thetas,
+        # then the refit sorts them once more
+        assert sorted(sorts) == sorted([10] * 6 + [15] * 2)
 
 
 def _two_class_table(q1, q2, theta):

@@ -54,22 +54,42 @@ class TestBaseVariables:
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     @staticmethod
-    def _loaded_by_import_eqc(*roots) -> str:
-        """The printed list of modules under roots that `import eqc` loads
-        in a fresh interpreter."""
+    def _loaded_by_import_eqc(*roots, then: str = "") -> str:
+        """The printed list of modules under roots that `import eqc`, and
+        the statements then, load in a fresh interpreter."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, eqc; print([m for m in sys.modules if m.split('.')[0] in {roots}])"],
+             f"import sys, eqc\n{then}\n"
+             f"print([m for m in sys.modules if m.split('.')[0] in {roots}])"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
             check=True)
-        return out.stdout.strip()
+        return out.stdout.strip().splitlines()[-1]
 
     def test_import_eqc_leaves_scipy_stats_unloaded(self):
         # scipy.special is imported where a t3 draw or a Fisher selection
-        # first needs it; no scipy module is loaded by the import itself
+        # first needs it, or by bench.run_experiment before it forks the
+        # workers of a t3 run; no scipy module is loaded by the import itself
         assert self._loaded_by_import_eqc("scipy") == "[]"
+
+    @pytest.mark.parametrize("family", ["heterogeneous", "t3"])
+    def test_run_on_two_cpus_loads_only_what_a_draw_loads(self, family):
+        # the workers draw and fit; before forking them, the calling process
+        # imports what a draw of the run's family loads: scipy.special for
+        # t3, no scipy module for the heterogeneous family
+        run = (
+            "import eqc.bench\n"
+            "eqc.bench._usable_cpus = lambda: 2\n"
+            "eqc.run_experiment(eqc.ExperimentConfig(\n"
+            "    ('qc', 'eqc-ridge'), 2, eqc.TuningGrid((0.3, 0.7), (0.1,), folds=2),\n"
+            f"    eqc.ScenarioSpec({family!r}, 30, 5), test_size=50, out_dir=''))"
+        )
+        loaded = self._loaded_by_import_eqc("scipy", then=run)
+        if family == "t3":
+            assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
+        else:
+            assert loaded == "[]"
 
     def test_import_eqc_leaves_process_pools_unloaded(self):
         # bench.run_experiment imports them when it runs its task sets
